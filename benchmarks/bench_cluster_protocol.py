@@ -7,7 +7,7 @@ loopback connection:
 
 * **v2 binary**: client ``tobytes`` → framed ``sendall`` → server
   :func:`~repro.service.frames.read_frame_header` +
-  :func:`repro.service.binary._read_payload` (the arena lease path when
+  :func:`repro.service.server._read_payload` (the arena lease path when
   the service owns a shared-memory pool, heap ``frombuffer`` otherwise).
 * **v1 JSON lines**: client ``tolist`` → ``json.dumps`` → ``sendall``
   → server ``readline`` → ``json.loads`` →
@@ -46,8 +46,8 @@ from typing import Dict
 import numpy as np
 
 from repro.client import CurveClient
-from repro.service import CurveService, binary, frames, serve_tcp
-from repro.service.server import parse_request_obj
+from repro.service import CurveService, frames, serve_tcp
+from repro.service.server import _read_payload, parse_request_obj
 from repro.tenants import TenantService
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
@@ -95,7 +95,7 @@ def measure_binary_ingest(service: CurveService,
     def recv(rfile):
         frame_type, dtype_code, header, payload_len, elem_size = \
             frames.read_frame_header(rfile)
-        arr, lease = binary._read_payload(
+        arr, lease = _read_payload(
             rfile, service, dtype_code, payload_len, elem_size,
         )
         arr = arr.astype(np.int64, copy=False)

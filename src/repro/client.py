@@ -3,8 +3,8 @@
 Every earlier caller of the wire protocol (soak scripts, server tests,
 ad-hoc probes) hand-rolled a socket, its line framing, and its response
 correlation.  This module replaces all of that with a small client that
-speaks to a single :func:`~repro.service.server.serve_tcp` server or to
-a cluster frontend (:mod:`repro.cluster`) identically::
+speaks to any :class:`~repro.service.server.CurveServer` the same way,
+whether it serves one node or fronts a shard ring (:mod:`repro.cluster`)::
 
     from repro.client import CurveClient
 
@@ -79,6 +79,9 @@ class CurveClient:
         self._lock = threading.Lock()
         self._sock = socket.create_connection(self._address,
                                               timeout=timeout)
+        # Requests are small writes that wait for a reply: Nagle's
+        # algorithm would hold each one behind the peer's delayed ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
         self._binary = False

@@ -3,9 +3,10 @@
 :func:`spawn_ring` is the one-call cluster: it forks N shard server
 processes (each its own ``CurveService`` — and, with
 ``shard_processes=True``, its own shared-memory ``ProcessExecutor``
-pool), waits for each to report its bound port, starts a
-:class:`~repro.cluster.frontend.ClusterFrontend` routing across them,
-and hands back a :class:`ClusterHandle`::
+pool), waits for each to report its bound port, serves a
+:class:`~repro.cluster.frontend.ClusterFrontend` routing across them
+from a :class:`~repro.service.server.CurveServer` thread, and hands
+back a :class:`ClusterHandle`::
 
     with spawn_ring(3) as cluster:
         with CurveClient(*cluster.address) as client:
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+from ..service.server import CurveServer
 from .frontend import ClusterFrontend
 
 _READY_RE = re.compile(r"serving on ([^\s:]+):(\d+)")
@@ -99,12 +101,12 @@ class ClusterHandle:
     """A running ring: shard subprocesses + the routing frontend."""
 
     def __init__(self, shards: List[ShardProcess],
-                 frontend: ClusterFrontend,
-                 address: Tuple[str, int]) -> None:
+                 frontend: ClusterFrontend, server: CurveServer) -> None:
         self.shards = shards
         self.frontend = frontend
+        self.server = server
         #: ``(host, port)`` clients connect to.
-        self.address = address
+        self.address: Tuple[str, int] = server.server_address[:2]
 
     def kill_shard(self, index: int) -> ShardProcess:
         """SIGKILL one backend (fail-over drills); returns its record."""
@@ -118,7 +120,9 @@ class ClusterHandle:
         return self.frontend.metrics()
 
     def close(self) -> None:
-        self.frontend.stop()
+        self.server.shutdown()
+        self.server.server_close()
+        self.frontend.close()
         for shard in self.shards:
             if shard.alive:
                 shard.proc.terminate()
@@ -172,10 +176,15 @@ def spawn_ring(
                 )
         frontend = ClusterFrontend(
             {s.name: (s.host, s.port) for s in shards},
-            host=host, port=port, replicas=replicas,
-            heartbeat_interval=heartbeat_interval,
+            replicas=replicas, heartbeat_interval=heartbeat_interval,
         )
-        address = frontend.start_in_thread()
+        try:
+            server = CurveServer((host, port), frontend)
+        except BaseException:
+            frontend.close()
+            raise
+        threading.Thread(target=server.serve_forever, name="ring-server",
+                         daemon=True).start()
     except BaseException:
         for shard in shards:
             if shard.alive:
@@ -186,7 +195,7 @@ def spawn_ring(
             except subprocess.TimeoutExpired:  # pragma: no cover
                 pass
         raise
-    return ClusterHandle(shards, frontend, address)
+    return ClusterHandle(shards, frontend, server)
 
 
 __all__ = ["ClusterHandle", "ShardProcess", "spawn_ring"]

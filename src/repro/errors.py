@@ -94,6 +94,16 @@ class ProtocolError(ServiceError):
     """
 
 
+class FrameTooLargeError(ServiceError):
+    """A frame's JSON header would exceed the protocol's header cap.
+
+    Raised before any byte of the frame is written, so the connection
+    stays in sync.  A server answers the request ``ok: false`` with this
+    error in place of the reply it could not send; it is deliberately
+    *not* a :class:`ProtocolError`, because nothing on the wire broke.
+    """
+
+
 class RemoteError(ServiceError):
     """A server answered ``ok: false``; raised client-side.
 

@@ -16,24 +16,26 @@ Robustness over raw throughput:
   overflow falls back to per-request int64 solves);
 * graceful drain on :meth:`CurveService.close`.
 
-Front ends: the :class:`CurveService` library API, the line-oriented
-``python -m repro serve`` protocol (stdin or TCP) in
-:mod:`repro.service.server`, and the hello-negotiated v2 binary framed
-protocol (:mod:`repro.service.frames` / :mod:`repro.service.binary`).
-The request vocabulary all of them share lives in
-:mod:`repro.service.schema`.  See docs/SERVICE.md and docs/CLUSTER.md;
-:class:`repro.client.CurveClient` is the supported caller.
+Front ends: the :class:`CurveService` library API, and one server
+(:mod:`repro.service.server`) behind ``python -m repro serve``: the
+line protocol over stdin, or a threaded TCP server speaking the line
+protocol and the hello-negotiated v2 binary frames
+(:mod:`repro.service.frames`).  The TCP server hands each request to a
+backend — this process's service, or a shard ring
+(:class:`repro.cluster.ClusterFrontend`).  The request vocabulary every
+surface shares lives in :mod:`repro.service.schema`.  See
+docs/SERVICE.md and docs/CLUSTER.md; :class:`repro.client.CurveClient`
+is the supported caller.
 """
 
-from .binary import serve_binary
 from .curve_service import CurveService, SolveFuture
 from .server import (
     handle_tenant_request,
     parse_request,
     parse_request_obj,
+    serve_binary,
     serve_stream,
     serve_tcp,
-    tenant_op_object,
 )
 
 __all__ = [
@@ -45,5 +47,4 @@ __all__ = [
     "serve_binary",
     "serve_stream",
     "serve_tcp",
-    "tenant_op_object",
 ]

@@ -166,12 +166,14 @@ class CurveService:
         self._local = threading.local()
         self._closing = threading.Event()
         self._stopping = threading.Event()
-        # The dispatcher holds _gate around every dequeue; pause() takes
-        # it, so once pause() returns, no request can leave the queue —
-        # a *deterministic* freeze (an Event checked at loop-top would
-        # race with an in-flight blocking get).
-        self._gate = threading.Lock()
-        self._pause_held = False
+        # The dispatcher checks _paused under _gate before every dequeue
+        # and marks the dequeue in flight; pause() sets the flag and
+        # waits out that dequeue, so once it returns no request can
+        # leave the queue — a *deterministic* freeze that cannot starve
+        # (a lock the dispatcher re-takes every tick would be unfair).
+        self._gate = threading.Condition()
+        self._paused = False
+        self._dequeuing = False
         self._lock = threading.Lock()
         self._latencies: "deque[float]" = deque(maxlen=latency_window)
         self.counters = Counters()
@@ -318,18 +320,14 @@ class CurveService:
         tests and batch submitters stage queue states deterministically.
         Idempotent.
         """
-        with self._lock:
-            if self._pause_held:
-                return
-            self._gate.acquire()
-            self._pause_held = True
+        with self._gate:
+            self._paused = True
+            self._gate.wait_for(lambda: not self._dequeuing)
 
     def resume(self) -> None:
-        with self._lock:
-            if not self._pause_held:
-                return
-            self._gate.release()
-            self._pause_held = False
+        with self._gate:
+            self._paused = False
+            self._gate.notify_all()
 
     def record_protocol_error(self) -> None:
         """Count one malformed (undecodable) request line.
@@ -415,16 +413,22 @@ class CurveService:
         while True:
             batch: List[_Request] = []
             with self._gate:
-                try:
-                    batch.append(self._queue.get(timeout=self._tick))
-                except queue.Empty:
-                    pass
-                else:
-                    while len(batch) < self._max_batch:
-                        try:
-                            batch.append(self._queue.get_nowait())
-                        except queue.Empty:
-                            break
+                self._gate.wait_for(lambda: not self._paused)
+                self._dequeuing = True
+            try:
+                batch.append(self._queue.get(timeout=self._tick))
+            except queue.Empty:
+                pass
+            else:
+                while len(batch) < self._max_batch:
+                    try:
+                        batch.append(self._queue.get_nowait())
+                    except queue.Empty:
+                        break
+            finally:
+                with self._gate:
+                    self._dequeuing = False
+                    self._gate.notify_all()
             if batch:
                 self._plan(batch)
             elif self._stopping.is_set():

@@ -41,7 +41,7 @@ from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import FrameTooLargeError, ProtocolError
 
 MAGIC = b"IAF2"
 
@@ -66,6 +66,27 @@ MAX_HEADER_LEN = 1 << 20          # 1 MiB of JSON header is already absurd
 MAX_PAYLOAD_LEN = 1 << 34         # 16 GiB of trace bytes
 
 
+def _frame_prefix(
+    frame_type: int, header: Dict[str, Any], payload_len: int,
+    dtype_code: int,
+) -> bytes:
+    """The fixed header and the JSON header of one frame.
+
+    Raises :class:`~repro.errors.FrameTooLargeError` when the JSON
+    header would exceed :data:`MAX_HEADER_LEN`, which every reader
+    rejects; nothing has been written at that point.
+    """
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    if len(head) > MAX_HEADER_LEN:
+        raise FrameTooLargeError(
+            f"frame JSON header of {len(head)} bytes exceeds the "
+            f"{MAX_HEADER_LEN}-byte cap (MAX_HEADER_LEN); ask for fewer "
+            f"sizes or split the request"
+        )
+    return _HEADER.pack(MAGIC, frame_type, dtype_code, 0, len(head),
+                        payload_len) + head
+
+
 def encode_frame(
     frame_type: int,
     header: Dict[str, Any],
@@ -73,60 +94,29 @@ def encode_frame(
     dtype_code: int = DTYPE_NONE,
 ) -> bytes:
     """One frame as bytes (small frames; bulk senders stream instead)."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return (
-        _HEADER.pack(MAGIC, frame_type, dtype_code, 0, len(head),
-                     len(payload))
-        + head
-        + payload
-    )
+    return _frame_prefix(frame_type, header, len(payload),
+                         dtype_code) + payload
 
 
 def write_frame(
     wfile: BinaryIO,
     frame_type: int,
     header: Dict[str, Any],
-    payload: bytes = b"",
+    payload: Any = b"",
     dtype_code: int = DTYPE_NONE,
 ) -> None:
-    """Write one frame.  Large payloads are written without copying
-    them into the header buffer."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    wfile.write(_HEADER.pack(MAGIC, frame_type, dtype_code, 0, len(head),
-                             len(payload)))
-    wfile.write(head)
-    if payload:
+    """Write one frame and flush.
+
+    Both headers leave in one write, so a header-only frame (every
+    reply) is one segment on an unbuffered socket.  ``payload`` is any
+    contiguous buffer (bytes, an ndarray) and is written without being
+    copied into the header bytes.
+    """
+    payload_len = memoryview(payload).nbytes
+    wfile.write(_frame_prefix(frame_type, header, payload_len, dtype_code))
+    if payload_len:
         wfile.write(payload)
     wfile.flush()
-
-
-def unpack_fixed_header(raw: bytes) -> Tuple[int, int, int, int]:
-    """Decode the 20 fixed header bytes (for async readers).
-
-    Returns ``(frame_type, dtype_code, header_len, payload_len)`` after
-    the same magic/type/length sanity checks :func:`read_frame_header`
-    applies; payload dtype/alignment checks stay with the caller.
-    """
-    magic, frame_type, dtype_code, _reserved, header_len, payload_len = (
-        _HEADER.unpack(raw)
-    )
-    if magic != MAGIC:
-        raise ProtocolError(
-            f"bad frame magic {magic!r} (expected {MAGIC!r}); "
-            "connection out of sync"
-        )
-    if frame_type not in (FRAME_REQUEST, FRAME_RESPONSE):
-        raise ProtocolError(f"unknown frame type {frame_type}")
-    if header_len > MAX_HEADER_LEN:
-        raise ProtocolError(
-            f"frame header length {header_len} exceeds cap {MAX_HEADER_LEN}"
-        )
-    if payload_len > MAX_PAYLOAD_LEN:
-        raise ProtocolError(
-            f"frame payload length {payload_len} exceeds cap "
-            f"{MAX_PAYLOAD_LEN}"
-        )
-    return frame_type, dtype_code, header_len, payload_len
 
 
 def _read_exact(rfile: BinaryIO, n: int, what: str) -> bytes:
@@ -165,7 +155,25 @@ def read_frame_header(
     raw = _read_exact(rfile, HEADER_SIZE, "frame header")
     if not raw:
         return None
-    frame_type, dtype_code, header_len, payload_len = unpack_fixed_header(raw)
+    magic, frame_type, dtype_code, _reserved, header_len, payload_len = (
+        _HEADER.unpack(raw)
+    )
+    if magic != MAGIC:
+        raise ProtocolError(
+            f"bad frame magic {magic!r} (expected {MAGIC!r}); "
+            "connection out of sync"
+        )
+    if frame_type not in (FRAME_REQUEST, FRAME_RESPONSE):
+        raise ProtocolError(f"unknown frame type {frame_type}")
+    if header_len > MAX_HEADER_LEN:
+        raise ProtocolError(
+            f"frame header length {header_len} exceeds cap {MAX_HEADER_LEN}"
+        )
+    if payload_len > MAX_PAYLOAD_LEN:
+        raise ProtocolError(
+            f"frame payload length {payload_len} exceeds cap "
+            f"{MAX_PAYLOAD_LEN}"
+        )
     elem_size = 0
     if payload_len:
         dt = DTYPE_BY_CODE.get(dtype_code)
@@ -246,6 +254,5 @@ __all__ = [
     "read_frame",
     "read_frame_header",
     "read_payload_into",
-    "unpack_fixed_header",
     "write_frame",
 ]

@@ -1,8 +1,8 @@
 """The wire-request schema, declared once and shared by every surface.
 
-Three things speak the solve/tenant request vocabulary: the JSON line
-parser (:func:`repro.service.server.parse_request`), the binary frame
-decoder (:mod:`repro.service.binary`), and the public client
+Two things speak the solve/tenant request vocabulary: the server's
+request parser (:func:`repro.service.server.parse_request_obj`, fed by
+the JSON line and the binary frame decoders alike) and the public client
 (:class:`repro.client.CurveClient`).  Before this module each kept its
 own field list, so adding a knob to one surface silently orphaned the
 others (``chunk_size`` was reachable from the CLI but not from the wire

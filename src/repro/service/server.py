@@ -1,4 +1,26 @@
-"""Line-oriented front ends for :class:`~repro.service.CurveService`.
+"""The curve server: one TCP server, a local or a ring backend.
+
+Every deployment — ``repro serve --port``, each shard of a ring and the
+ring's frontend — runs :class:`CurveServer`: a threaded TCP server with
+one thread per connection.  A connection starts on the v1 JSON line
+protocol and may switch to the v2 binary frames
+(:mod:`repro.service.frames`) with ``{"op": "hello", "upgrade": true}``.
+Both framings decode each request into one object and hand it to the
+same :class:`_Stream`, which passes it to the server's **backend**:
+
+* :class:`LocalBackend` — this process's
+  :class:`~repro.service.CurveService` and, with ``--tenants``, its
+  :class:`~repro.tenants.TenantService` (:func:`serve_tcp` builds it);
+* :class:`~repro.cluster.ClusterFrontend` — the shard ring, which
+  forwards each request to a shard over pooled
+  :class:`~repro.client.CurveClient` connections.
+
+A request's path: the client encodes it; the connection thread decodes
+it (a bulk v2 payload lands in a shared-memory arena block when the
+service has a process pool); the backend queues it in the service, or
+forwards it to a shard, where the same path repeats; the reply goes back
+through the stream that took the request.  :func:`serve_stream` runs
+the line protocol over stdin (EOF drains and exits).
 
 One request per line, one JSON response per line.  A request is either a
 bare path to a REPROTRC trace file::
@@ -19,17 +41,14 @@ tag requests with ``id`` to correlate; each is either::
      "batched": true, "hit_rates": {"64": 0.31, …}}
 
 or ``{"id": …, "ok": false, "error": "DeadlineExceededError",
-"message": …}``.  Malformed lines are answered immediately with an
-``ok: false`` line; they never crash the server.
-
-``python -m repro serve`` runs this loop over stdin (EOF drains and
-exits) or, with ``--port``, over TCP with one connection per client
-thread, all sharing a single service — the batching works *across*
-connections.
+"message": …}``.  Malformed requests are answered immediately with an
+``ok: false`` reply; they never crash the server.  A line longer than
+:data:`MAX_LINE_LEN` is answered with a ``ProtocolError`` and ends the
+connection, as does a v2 framing error.
 
 With ``--tenants`` the server also speaks the multi-tenant verbs (see
-docs/TENANTS.md): a JSON line carrying an ``op`` field is routed to the
-shared :class:`~repro.tenants.TenantService` instead of the solve path::
+docs/TENANTS.md): a request carrying an ``op`` field goes to the
+tenant service instead of the solve path::
 
     {"op": "register", "tenant": "web", "tier": "sampled",
      "sample_rate": 0.01}
@@ -43,9 +62,10 @@ and deadlines as solves) and answer in completion order like everything
 else.  ``register``/``evict``/``tenants`` execute synchronously, but
 only after every previously accepted request **on the same stream** has
 been answered — so the natural register → push → curve → evict script
-behaves sequentially.  An evict still takes effect immediately across
-*other* connections: their queued, not-yet-drained pushes for that
-tenant fail with an explanatory error instead of resurrecting it.
+behaves sequentially, on one node and through a ring alike.  An evict
+still takes effect immediately across *other* connections: their
+queued, not-yet-drained pushes for that tenant fail with an explanatory
+error instead of resurrecting it.
 """
 
 from __future__ import annotations
@@ -56,6 +76,7 @@ import threading
 from typing import (
     TYPE_CHECKING,
     Any,
+    BinaryIO,
     Callable,
     Dict,
     Iterable,
@@ -67,19 +88,29 @@ from typing import (
 import numpy as np
 
 from ..core.config import SolveConfig, SolveResult
-from ..errors import ProtocolError, ReproError
+from ..errors import FrameTooLargeError, ProtocolError, ReproError
 from ..workloads.traceio import read_trace
-from . import schema
+from . import frames, schema
 from .curve_service import CurveService, SolveFuture
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from ..tenants import TenantService
 
-#: Shared wire vocabulary (see :mod:`repro.service.schema`) — the same
-#: tables drive this parser, the binary frame decoder, and CurveClient.
-_REQUEST_FIELDS = schema.REQUEST_FIELDS
-_DTYPES = schema.DTYPES
 _TENANT_OPS = schema.TENANT_OP_FIELDS
+
+#: Tenant verbs that run synchronously, after this stream's earlier
+#: requests are answered.
+_SYNC_OPS = frozenset(("register", "evict", "tenants"))
+
+#: Longest v1 request line: a client may ship a whole trace as one
+#: inline-JSON line, but no line may pin more memory than this.
+MAX_LINE_LEN = 1 << 30
+
+#: v2 payloads at least this large try the shared-arena ingest path.
+ARENA_INGEST_MIN = 1 << 16
+
+#: Frame dtype code → the dtype scalar ``SolveConfig`` speaks.
+_CONFIG_DTYPE = {frames.DTYPE_INT32: np.int32, frames.DTYPE_INT64: np.int64}
 
 
 def parse_request_obj(
@@ -90,8 +121,8 @@ def parse_request_obj(
 ) -> Tuple[Any, SolveConfig, Optional[float], Optional[str], List[int]]:
     """Parse one already-decoded solve-request object.
 
-    The schema half of :func:`parse_request`, shared with the binary
-    frame decoder (whose trace arrives as a payload, hence
+    Every solve parses through here, from a v1 line or a v2 frame
+    (whose trace may arrive as a payload, hence
     ``require_trace=False``).  Returns ``(trace, config, deadline,
     request_id, sizes)`` — ``trace`` is ``None`` when absent and not
     required.  Raises :class:`ReproError` on malformed input.
@@ -135,17 +166,35 @@ def parse_request(
     ``trace`` is a path string or an inline address list.  Raises
     :class:`ReproError` on malformed input.
     """
-    base = default_config if default_config is not None else SolveConfig()
+    obj = _decode_line(line)
+    if obj is None:
+        raise ReproError("empty request line")
+    return parse_request_obj(obj, default_config=default_config)
+
+
+def _decode_line(line: Any) -> Optional[Dict[str, Any]]:
+    """One v1 request line as a request object; None for a blank line.
+
+    Bytes are decoded strictly: invalid UTF-8 raises
+    :class:`ProtocolError` rather than being mangled by a lossy decode.
+    A line that is not a JSON object is a bare trace path.
+    """
+    if isinstance(line, (bytes, bytearray)):
+        try:
+            line = bytes(line).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(
+                f"request line is not valid UTF-8: {exc}"
+            ) from None
     text = line.strip()
     if not text:
-        raise ReproError("empty request line")
+        return None
     if not text.startswith("{"):
-        return text, base, None, None, []
+        return {"trace": text}
     try:
-        obj = json.loads(text)
+        return json.loads(text)  # an object: the text starts with "{"
     except json.JSONDecodeError as exc:
         raise ReproError(f"bad request JSON: {exc}") from None
-    return parse_request_obj(obj, default_config=default_config)
 
 
 def _check_deadline(deadline: Any) -> Optional[float]:
@@ -164,24 +213,6 @@ def _check_sizes(sizes: Any) -> List[int]:
     ):
         raise ReproError("sizes must be a list of positive integers")
     return sizes
-
-
-def tenant_op_object(line: str) -> Optional[Dict[str, Any]]:
-    """The parsed object if ``line`` is a tenant-verb request, else None.
-
-    Lines that are not JSON objects (or carry no ``op``) fall through to
-    the solve-path parser, which owns their error reporting.
-    """
-    text = line.strip()
-    if not text.startswith("{"):
-        return None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and "op" in obj:
-        return obj
-    return None
 
 
 def handle_tenant_request(
@@ -295,6 +326,283 @@ def _error_payload(
     }
 
 
+class LocalBackend:
+    """Serve requests from this process's :class:`CurveService`.
+
+    Solves go to the service queue; tenant verbs go to ``tenants``
+    (a :class:`~repro.tenants.TenantService`), when one is given.
+    """
+
+    def __init__(
+        self,
+        service: CurveService,
+        *,
+        default_config: Optional[SolveConfig] = None,
+        tenants: Optional["TenantService"] = None,
+    ) -> None:
+        self.service = service
+        self.default_config = default_config
+        self.tenants = tenants
+
+    def hello(self, req_id: Any, *, binary_ok: bool) -> Dict[str, Any]:
+        return schema.hello_payload(
+            req_id, tenants_enabled=self.tenants is not None,
+            binary_ok=binary_ok,
+        )
+
+    def ingest_lease(self, nbytes: int) -> Any:
+        return self.service.ingest_lease(nbytes)
+
+    def record_protocol_error(self) -> None:
+        self.service.record_protocol_error()
+
+    def submit(self, obj: Dict[str, Any], payload: Optional[np.ndarray],
+               dtype_code: int) -> Any:
+        if payload is not None and "trace" in obj:
+            raise ReproError(
+                "request carries both an inline trace and a payload; "
+                "send one"
+            )
+        if "op" in obj:
+            if self.tenants is None:
+                raise ReproError(
+                    "tenant ops are not enabled on this server "
+                    "(start it with --tenants)"
+                )
+            if payload is not None:
+                obj = dict(obj, trace=payload)
+            reply, queued = handle_tenant_request(obj, self.tenants)
+            return reply if queued is None else queued
+        trace, cfg, deadline, req_id, sizes = parse_request_obj(
+            obj, default_config=self.default_config,
+            require_trace=payload is None,
+        )
+        if payload is not None:
+            if "dtype" not in obj:
+                # Solve in the payload's own dtype so an arena view is
+                # used as-is (no widening copy).
+                cfg = cfg.replace(dtype=_CONFIG_DTYPE[dtype_code])
+            trace = payload
+        elif isinstance(trace, str):
+            trace = read_trace(trace)
+        future = self.service.submit(
+            trace, cfg, deadline=deadline, label=req_id or ""
+        )
+        return future, lambda result: _result_payload(req_id, result, sizes)
+
+
+class _Stream:
+    """One request stream: dispatch, ordering and replies.
+
+    Both framings hand every decoded request to :meth:`dispatch`, which
+    passes it to the backend.  The backend answers a request with its
+    reply at once, or with ``(future, formatter)`` for work that
+    completes later; replies then leave in completion order through
+    ``write`` (a line or a frame writer), one at a time.  The
+    synchronous tenant verbs first wait for every reply this stream
+    owes (:meth:`barrier`), so a pipelined register → push → curve →
+    evict script behaves as if it ran one request at a time.
+    """
+
+    def __init__(self, backend: Any,
+                 write: Callable[[Dict[str, Any]], None]) -> None:
+        self.backend = backend
+        self.write = write
+        self.failures = 0
+        self._write_lock = threading.Lock()
+        # Requests accepted but not yet answered.  A reply is counted
+        # off only after it was written: waiting on the futures instead
+        # would race, because result() waiters wake before
+        # done-callbacks run.
+        self._owed = 0
+        self._answered = threading.Condition()
+
+    def send(self, payload: Dict[str, Any]) -> None:
+        with self._write_lock:
+            try:
+                try:
+                    self.write(payload)
+                except FrameTooLargeError as exc:
+                    payload = _error_payload(payload.get("id"), exc)
+                    self.write(payload)
+            except OSError:
+                pass  # the client went away; its request still ran
+            if not payload.get("ok"):
+                self.failures += 1
+
+    def barrier(self) -> None:
+        """Wait until every request accepted so far has been answered."""
+        with self._answered:
+            self._answered.wait_for(lambda: not self._owed)
+
+    def protocol_error(self, exc: ProtocolError) -> None:
+        self.backend.record_protocol_error()
+        self.send(_error_payload(None, exc))
+
+    def hello(self, obj: Dict[str, Any], *, binary_ok: bool,
+              upgraded: bool) -> bool:
+        """Answer a hello; False when it was malformed."""
+        try:
+            schema.validate_fields(obj, schema.HELLO_FIELDS, "hello")
+        except ReproError as exc:
+            self.send(_error_payload(obj.get("id"), exc))
+            return False
+        payload = self.backend.hello(obj.get("id"), binary_ok=binary_ok)
+        if upgraded:
+            payload["upgraded"] = schema.PROTOCOL_V2
+        self.send(payload)
+        return True
+
+    def dispatch(
+        self,
+        obj: Dict[str, Any],
+        payload: Optional[np.ndarray] = None,
+        dtype_code: int = frames.DTYPE_NONE,
+        lease: Any = None,
+    ) -> None:
+        """Hand one request to the backend; its reply follows.
+
+        ``lease`` (an arena block holding ``payload``) is released once
+        the request is answered.
+        """
+        req_id = obj.get("id")
+        try:
+            if obj.get("op") in _SYNC_OPS:
+                self.barrier()
+            answer = self.backend.submit(obj, payload, dtype_code)
+        except Exception as exc:  # noqa: BLE001 — answered on the stream
+            answer = _error_payload(req_id, exc)
+        if isinstance(answer, dict):
+            if lease is not None:
+                lease.release()
+            self.send(answer)
+            return
+        future, formatter = answer
+        with self._answered:
+            self._owed += 1
+
+        def on_done(f: Any) -> None:
+            try:
+                try:
+                    reply = formatter(f.result())
+                except Exception as exc:  # noqa: BLE001
+                    reply = _error_payload(req_id, exc)
+                self.send(reply)
+            finally:
+                if lease is not None:
+                    lease.release()
+                with self._answered:
+                    self._owed -= 1
+                    self._answered.notify_all()
+
+        future.add_done_callback(on_done)
+
+
+def _serve_lines(lines: Iterable[Any], stream: _Stream, *,
+                 binary_ok: bool) -> bool:
+    """Serve v1 lines until EOF; True once a hello upgraded to frames."""
+    for line in lines:
+        if len(line) > MAX_LINE_LEN:
+            stream.protocol_error(ProtocolError(
+                f"request line longer than {MAX_LINE_LEN} bytes"
+            ))
+            break
+        try:
+            obj = _decode_line(line)
+        except ProtocolError as exc:
+            stream.protocol_error(exc)
+            continue
+        except ReproError as exc:
+            stream.send(_error_payload(None, exc))
+            continue
+        if obj is None:
+            continue
+        if obj.get("op") == schema.HELLO_OP:
+            upgrade = binary_ok and bool(obj.get("upgrade"))
+            if upgrade:
+                # The framing changes after this reply, so no earlier
+                # reply may follow it.
+                stream.barrier()
+            if stream.hello(obj, binary_ok=binary_ok, upgraded=upgrade) \
+                    and upgrade:
+                return True
+            continue
+        stream.dispatch(obj)
+    stream.barrier()
+    return False
+
+
+def _read_payload(
+    rfile: BinaryIO,
+    backend: Any,
+    dtype_code: int,
+    payload_len: int,
+    elem_size: int,
+) -> Tuple[Optional[np.ndarray], Optional[Any]]:
+    """Read ``payload_len`` trace bytes; returns ``(array, lease)``.
+
+    Payloads of at least :data:`ARENA_INGEST_MIN` bytes go straight
+    into a shared-arena block when ``backend.ingest_lease`` (a
+    :class:`CurveService` or a backend) grants one; the lease is then
+    non-None and the caller releases it once the request holding the
+    view is answered.  Everything else lands in a heap buffer.
+    """
+    if not payload_len:
+        return None, None
+    count = payload_len // elem_size
+    dt = frames.DTYPE_BY_CODE[dtype_code]
+    lease = None
+    if payload_len >= ARENA_INGEST_MIN:
+        lease = backend.ingest_lease(payload_len)
+    if lease is not None:
+        try:
+            frames.read_payload_into(rfile, lease.buffer(), payload_len)
+        except Exception:
+            lease.release()
+            raise
+        return lease.array(dt, count), lease
+    buf = bytearray(payload_len)
+    frames.read_payload_into(rfile, memoryview(buf), payload_len)
+    return np.frombuffer(buf, dtype=dt), None
+
+
+def _serve_frames(rfile: BinaryIO, stream: _Stream) -> None:
+    """Serve v2 frames until EOF or a framing error.
+
+    A framing error is answered once and ends the stream: a lost magic
+    means the byte stream is out of sync for good.
+    """
+    try:
+        while True:
+            parsed = frames.read_frame_header(rfile)
+            if parsed is None:
+                break
+            frame_type, dtype_code, obj, payload_len, elem_size = parsed
+            if frame_type != frames.FRAME_REQUEST:
+                raise ProtocolError(
+                    f"expected a request frame, got type {frame_type}"
+                )
+            payload, lease = _read_payload(
+                rfile, stream.backend, dtype_code, payload_len, elem_size
+            )
+            if obj.get("op") == schema.HELLO_OP:
+                if lease is not None:
+                    lease.release()
+                stream.hello(obj, binary_ok=True, upgraded=True)
+                continue
+            stream.dispatch(obj, payload, dtype_code, lease)
+    except ProtocolError as exc:
+        stream.protocol_error(exc)
+    finally:
+        stream.barrier()
+
+
+def _frame_writer(wfile: BinaryIO) -> Callable[[Dict[str, Any]], None]:
+    return lambda payload: frames.write_frame(
+        wfile, frames.FRAME_RESPONSE, payload
+    )
+
+
 def serve_stream(
     lines: "Iterable[Any]",
     emit: Callable[[str], None],
@@ -304,222 +612,96 @@ def serve_stream(
     tenants: Optional["TenantService"] = None,
     upgrade: Optional[Callable[[], None]] = None,
 ) -> int:
-    """Run the line protocol over one request stream.
+    """Run the line protocol over one request stream (e.g. stdin).
 
     Reads requests from ``lines`` — ``str`` or raw ``bytes`` lines;
     bytes are decoded *strictly* as UTF-8, and an undecodable line is
     answered with a :class:`~repro.errors.ProtocolError` response (and
-    counted as ``service.protocol_errors``) instead of being silently
-    mangled by a lossy decode.  Each JSON response goes through ``emit``
-    as its solve completes (under a lock — responses stay whole lines),
-    and the call blocks until every accepted request has been answered.
-    Returns the number of failed requests (protocol errors, parse
-    errors, rejections, and solve errors alike); the caller owns the
-    service's lifecycle.
+    counted as ``service.protocol_errors``).  Each JSON response goes
+    through ``emit`` as its request completes, and the call blocks until
+    every accepted request has been answered.  Returns the number of
+    failed requests; the caller owns the service's lifecycle.
 
-    ``upgrade``, when provided, enables the v2 binary framing on this
-    transport: a ``{"op": "hello", "upgrade": true}`` request barriers
-    on every previously accepted request, answers the hello with
-    ``"upgraded": 2``, invokes ``upgrade()`` and returns — the caller
-    then hands the same byte stream to
-    :func:`~repro.service.binary.serve_binary`.  Without it (stdin,
-    tests over plain line iterables) hellos still answer but advertise
-    the v1 protocol only.
+    ``upgrade``, when provided, lets a ``{"op": "hello", "upgrade":
+    true}`` request switch the transport to v2 frames: the hello is
+    answered with ``"upgraded": 2`` after every earlier reply,
+    ``upgrade()`` is called and the function returns.  Without it the
+    hello advertises the v1 protocol only.
     """
-    out_lock = threading.Lock()
-    failures = [0]
-
-    def send(payload: Dict[str, Any]) -> None:
-        with out_lock:
-            if not payload["ok"]:
-                failures[0] += 1
-            emit(json.dumps(payload))
-
-    # One event per accepted request, set only after its response line
-    # has been emitted.  (Waiting on the futures themselves would race:
-    # result() waiters wake *before* done-callbacks run, so the stream
-    # could close under the last response.)
-    answered: List[threading.Event] = []
-    for line in lines:
-        if isinstance(line, (bytes, bytearray)):
-            try:
-                line = bytes(line).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                service.record_protocol_error()
-                send(_error_payload(None, ProtocolError(
-                    f"request line is not valid UTF-8: {exc}"
-                )))
-                continue
-        if not line.strip():
-            continue
-        tenant_obj = tenant_op_object(line)
-        if tenant_obj is not None and tenant_obj.get("op") == schema.HELLO_OP:
-            h_id = tenant_obj.get("id")
-            if not isinstance(h_id, str):
-                h_id = None
-            try:
-                schema.validate_fields(
-                    tenant_obj, schema.HELLO_FIELDS, "hello"
-                )
-            except Exception as exc:  # noqa: BLE001 — on the stream
-                send(_error_payload(h_id, exc))
-                continue
-            payload = schema.hello_payload(
-                h_id,
-                tenants_enabled=tenants is not None,
-                binary_ok=upgrade is not None,
-            )
-            if tenant_obj.get("upgrade") and upgrade is not None:
-                # The upgrade is a framing change on the *transport*:
-                # barrier on everything accepted so far so no late JSON
-                # response interleaves with the first binary frame.
-                for event in answered:
-                    event.wait()
-                payload["upgraded"] = schema.PROTOCOL_V2
-                send(payload)
-                upgrade()
-                return failures[0]
-            send(payload)
-            continue
-        if tenant_obj is not None:
-            t_id = tenant_obj.get("id")
-            if not isinstance(t_id, str):
-                t_id = None
-            if tenants is None:
-                send(_error_payload(t_id, ReproError(
-                    "tenant ops are not enabled on this server "
-                    "(start it with --tenants)"
-                )))
-                continue
-            if tenant_obj.get("op") in ("register", "evict", "tenants"):
-                # Synchronous verbs barrier on this stream's accepted
-                # requests: an evict must not race the same script's
-                # queued pushes (see the module docstring).
-                for event in answered:
-                    event.wait()
-            try:
-                payload, queued = handle_tenant_request(tenant_obj, tenants)
-            except Exception as exc:  # noqa: BLE001 — on the stream
-                send(_error_payload(t_id, exc))
-                continue
-            if payload is not None:
-                send(payload)
-                continue
-            assert queued is not None
-            t_future, t_fmt = queued
-            t_event = threading.Event()
-
-            def on_tenant_done(f: SolveFuture, fmt=t_fmt, req_id=t_id,
-                               event=t_event) -> None:
-                try:
-                    try:
-                        payload = fmt(f.result())
-                    except Exception as exc:  # noqa: BLE001
-                        payload = _error_payload(req_id, exc)
-                    try:
-                        send(payload)
-                    except OSError:
-                        pass  # client went away; the push still landed
-                finally:
-                    event.set()
-
-            t_future.add_done_callback(on_tenant_done)
-            answered.append(t_event)
-            continue
-        try:
-            trace, cfg, deadline, req_id, sizes = parse_request(
-                line, default_config=default_config
-            )
-            arr = read_trace(trace) if isinstance(trace, str) else trace
-            future = service.submit(
-                arr, cfg, deadline=deadline, label=req_id or ""
-            )
-        except Exception as exc:  # noqa: BLE001 — reported on the stream
-            send(_error_payload(_best_effort_id(line), exc))
-            continue
-        event = threading.Event()
-
-        def on_done(f: SolveFuture, req_id=req_id, sizes=sizes,
-                    event=event) -> None:
-            try:
-                try:
-                    payload = _result_payload(req_id, f.result(), sizes)
-                except Exception as exc:  # noqa: BLE001
-                    payload = _error_payload(req_id, exc)
-                try:
-                    send(payload)
-                except OSError:
-                    pass  # client went away; the solve still completed
-            finally:
-                event.set()
-
-        future.add_done_callback(on_done)
-        answered.append(event)
-    for event in answered:
-        event.wait()
-    return failures[0]
+    stream = _Stream(
+        LocalBackend(service, default_config=default_config,
+                     tenants=tenants),
+        lambda payload: emit(json.dumps(payload)),
+    )
+    upgraded = _serve_lines(lines, stream, binary_ok=upgrade is not None)
+    if upgraded and upgrade is not None:
+        upgrade()
+    return stream.failures
 
 
-def _best_effort_id(line: str) -> Optional[str]:
-    """Recover the request id from a line that failed to parse/submit."""
-    try:
-        obj = json.loads(line)
-        if isinstance(obj, dict):
-            return obj.get("id")
-    except json.JSONDecodeError:
-        pass
-    return None
+def serve_binary(
+    rfile: BinaryIO,
+    wfile: BinaryIO,
+    service: CurveService,
+    *,
+    default_config: Optional[SolveConfig] = None,
+    tenants: Optional["TenantService"] = None,
+) -> int:
+    """Run the v2 frame protocol over one byte stream.
+
+    The frame counterpart of :func:`serve_stream`; returns the number of
+    failed requests.
+    """
+    stream = _Stream(
+        LocalBackend(service, default_config=default_config,
+                     tenants=tenants),
+        _frame_writer(wfile),
+    )
+    _serve_frames(rfile, stream)
+    return stream.failures
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    """One client connection: the stream protocol over a socket."""
+class _Handler(socketserver.StreamRequestHandler):
+    """One client connection: v1 lines, then v2 frames after an upgrade."""
+
+    # Replies are small writes: with Nagle's algorithm on, each would
+    # wait for the client's delayed ACK of the one before.
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
-        def emit(text: str) -> None:
-            self.wfile.write(text.encode("utf-8") + b"\n")
-            self.wfile.flush()
-
-        upgraded = []
-
-        # Raw byte lines go straight to serve_stream, which decodes
-        # strictly and answers undecodable input with a ProtocolError
-        # line (a lossy decode here used to mangle requests silently).
-        # readline-iteration keeps any bytes after the hello line in
-        # the shared BufferedReader, where serve_binary picks them up.
-        serve_stream(
-            self.rfile, emit, self.server.service,  # type: ignore[attr-defined]
-            default_config=self.server.default_config,  # type: ignore[attr-defined]
-            tenants=self.server.tenants,  # type: ignore[attr-defined]
-            upgrade=lambda: upgraded.append(True),
+        wfile = self.wfile
+        stream = _Stream(
+            self.server.backend,  # type: ignore[attr-defined]
+            lambda payload: wfile.write(
+                json.dumps(payload).encode("utf-8") + b"\n"
+            ),
         )
-        if upgraded:
-            from .binary import serve_binary
-
-            serve_binary(
-                self.rfile, self.wfile, self.server.service,  # type: ignore[attr-defined]
-                default_config=self.server.default_config,  # type: ignore[attr-defined]
-                tenants=self.server.tenants,  # type: ignore[attr-defined]
-            )
+        # readline keeps any bytes after the hello line in the buffered
+        # reader, where the frame loop picks them up.
+        lines = iter(lambda: self.rfile.readline(MAX_LINE_LEN + 1), b"")
+        if _serve_lines(lines, stream, binary_ok=True):
+            stream.write = _frame_writer(wfile)
+            _serve_frames(self.rfile, stream)
 
 
 class CurveServer(socketserver.ThreadingTCPServer):
-    """TCP front end; all connections share one :class:`CurveService`."""
+    """The TCP server: one thread per connection, one shared backend.
+
+    ``backend`` is a :class:`LocalBackend` (see :func:`serve_tcp`) or a
+    :class:`~repro.cluster.ClusterFrontend`, which routes to a ring of
+    shard servers.  A backend provides ``hello(req_id, *, binary_ok)``
+    (the advertisement), ``submit(obj, payload, dtype_code)`` (a reply
+    dict, or ``(future, formatter)``), ``ingest_lease(nbytes)`` (an
+    arena block for a bulk payload, or None) and
+    ``record_protocol_error()``.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        service: CurveService,
-        *,
-        default_config: Optional[SolveConfig] = None,
-        tenants: Optional["TenantService"] = None,
-    ) -> None:
-        super().__init__(address, _LineHandler)
-        self.service = service
-        self.default_config = default_config
-        self.tenants = tenants
+    def __init__(self, address: Tuple[str, int], backend: Any) -> None:
+        super().__init__(address, _Handler)
+        self.backend = backend
 
 
 def serve_tcp(
@@ -530,10 +712,14 @@ def serve_tcp(
     default_config: Optional[SolveConfig] = None,
     tenants: Optional["TenantService"] = None,
 ) -> CurveServer:
-    """Bind a :class:`CurveServer`; the caller runs ``serve_forever()``.
+    """Bind a one-node :class:`CurveServer`; the caller runs
+    ``serve_forever()``.
 
     ``port=0`` picks a free port (``server.server_address`` has the
     real one — the pattern the tests use).
     """
-    return CurveServer((host, port), service,
-                       default_config=default_config, tenants=tenants)
+    return CurveServer(
+        (host, port),
+        LocalBackend(service, default_config=default_config,
+                     tenants=tenants),
+    )

@@ -3,8 +3,8 @@
 Two harnesses:
 
 * :func:`in_process_ring` — shards are in-process ``serve_tcp`` servers
-  under one ``ClusterFrontend``.  Cheap, used for the 25-seed
-  differential and tenant routing.
+  under one ``CurveServer`` with a ``ClusterFrontend`` backend.  Cheap,
+  used for the 25-seed differential and tenant routing.
 * ``spawn_ring`` — real shard subprocesses, used for the shard-kill
   drills: an in-process ``ThreadingTCPServer.shutdown()`` never severs
   the frontend's pooled connections, so only a SIGKILL'd process
@@ -22,34 +22,41 @@ from repro.cluster import ClusterFrontend, fagin_curve, spawn_ring
 from repro.core.engine import iaf_hit_rate_curve
 from repro.errors import RemoteError
 from repro.service import CurveService, serve_tcp
+from repro.service.server import CurveServer
 from repro.tenants import TenantService
 
 
+def _serve_in_thread(stack, server):
+    stack.callback(server.server_close)
+    stack.callback(server.shutdown)
+    # A short poll keeps shutdown() (one poll at most) cheap in teardown.
+    threading.Thread(target=server.serve_forever, args=(0.05,),
+                     daemon=True).start()
+    return server.server_address[:2]
+
+
 @contextlib.contextmanager
-def in_process_ring(n, *, heartbeat_interval=5.0):
-    """``n`` in-process TCP shards under one routing frontend."""
-    frontend = None
+def in_process_ring(n, *, heartbeat_interval=5.0, frontend_out=None):
+    """``n`` in-process TCP shards under one routing frontend.
+
+    Yields the frontend's address; ``frontend_out`` (a list) receives
+    the :class:`ClusterFrontend` for tests that read its metrics.
+    """
     with contextlib.ExitStack() as stack:
         shards = {}
         for i in range(n):
             svc = stack.enter_context(CurveService(workers=1))
-            server = serve_tcp(svc, "127.0.0.1", 0,
-                               tenants=TenantService(svc))
-            stack.callback(server.server_close)
-            stack.callback(server.shutdown)
-            threading.Thread(target=server.serve_forever,
-                             daemon=True).start()
-            host, port = server.server_address[:2]
-            shards[f"shard{i}"] = (host, port)
-        try:
-            frontend = ClusterFrontend(
-                shards, host="127.0.0.1", port=0,
-                heartbeat_interval=heartbeat_interval,
-            )
-            yield frontend.start_in_thread()
-        finally:
-            if frontend is not None:
-                frontend.stop()
+            shards[f"shard{i}"] = _serve_in_thread(stack, serve_tcp(
+                svc, "127.0.0.1", 0, tenants=TenantService(svc)
+            ))
+        frontend = ClusterFrontend(shards,
+                                   heartbeat_interval=heartbeat_interval)
+        stack.callback(frontend.close)
+        if frontend_out is not None:
+            frontend_out.append(frontend)
+        yield _serve_in_thread(
+            stack, CurveServer(("127.0.0.1", 0), frontend)
+        )
 
 
 class TestRingDifferential:

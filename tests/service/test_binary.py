@@ -1,17 +1,14 @@
 """The v2 binary framed protocol: frames, server loop, arena ingest."""
 
 import io
-import json
-import socket
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core.engine import iaf_hit_rate_curve
 from repro.errors import ProtocolError
-from repro.service import CurveService, serve_binary, serve_tcp
-from repro.service import binary as binary_mod
+from repro.service import CurveService, serve_binary
+from repro.service import server as server_mod
 from repro.service import frames
 
 
@@ -173,7 +170,7 @@ class TestArenaIngest:
         executor = default_executor(2)
         if executor is None:
             pytest.skip("shared-memory executor unavailable")
-        n = binary_mod.ARENA_INGEST_MIN // 8 + 1024
+        n = server_mod.ARENA_INGEST_MIN // 8 + 1024
         trace = rng.integers(0, 1000, size=n).astype(np.int64)
         req = frames.encode_frame(
             frames.FRAME_REQUEST, {"id": "big", "sizes": [64]},
@@ -204,39 +201,3 @@ class TestArenaIngest:
             view = lease.array(np.int64, arr.size)
             np.testing.assert_array_equal(view, arr)
         assert executor._arena.live_blocks == 0
-
-
-class TestTcpUpgradePath:
-    def test_line_then_binary_on_one_socket(self, rng):
-        """hello → JSON response → binary frames on the same connection."""
-        trace = rng.integers(0, 64, size=512).astype(np.int64)
-        with CurveService(workers=1) as svc:
-            server = serve_tcp(svc, "127.0.0.1", 0)
-            host, port = server.server_address[:2]
-            threading.Thread(target=server.serve_forever,
-                             daemon=True).start()
-            try:
-                with socket.create_connection((host, port),
-                                              timeout=30) as sock:
-                    # Ship the hello line AND the first binary frame in
-                    # one send: bytes past the newline must survive the
-                    # framing switch inside the server's buffered reader.
-                    frame = frames.encode_frame(
-                        frames.FRAME_REQUEST, {"id": "b", "sizes": [8]},
-                        trace.tobytes(), frames.DTYPE_INT64,
-                    )
-                    sock.sendall(
-                        json.dumps({"op": "hello", "upgrade": True,
-                                    "id": "h"}).encode() + b"\n" + frame
-                    )
-                    rfile = sock.makefile("rb")
-                    hello = json.loads(rfile.readline())
-                    assert hello["upgraded"] == 2
-                    got = frames.read_frame(rfile)
-                assert got is not None
-                _, payload, _ = got
-                direct = iaf_hit_rate_curve(trace)
-                assert payload["hit_rates"]["8"] == direct.hit_rate(8)
-            finally:
-                server.shutdown()
-                server.server_close()

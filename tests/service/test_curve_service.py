@@ -230,6 +230,41 @@ class TestLifecycle:
         finally:
             svc.close()
 
+    def test_no_dequeue_starts_once_pause_is_pending(self):
+        """Regression: the dispatcher released and re-took an unfair lock
+        every tick, so pause() could wait indefinitely for a handoff it
+        never won.  Now the dequeue in flight ends and no other starts."""
+        svc = CurveService(workers=1)
+        in_dequeue = threading.Event()
+        release = threading.Event()
+        starts = []
+        real_get = svc._queue.get
+
+        def spy_get(*args, **kwargs):
+            starts.append(1)
+            in_dequeue.set()
+            release.wait(timeout=30)
+            return real_get(*args, **kwargs)
+
+        svc._queue.get = spy_get
+        try:
+            assert in_dequeue.wait(timeout=30)  # this dequeue is in flight
+            pauser = threading.Thread(target=svc.pause)
+            pauser.start()
+            deadline = time.monotonic() + 5
+            while not getattr(svc, "_paused", False) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+            pauser.join(timeout=30)
+            assert not pauser.is_alive()
+            time.sleep(10 * svc._tick)
+            assert len(starts) == 1
+        finally:
+            release.set()
+            svc.resume()
+            svc.close()
+
     def test_constructor_validation(self):
         for bad in (
             dict(max_queue=0), dict(max_batch=0), dict(workers=0),

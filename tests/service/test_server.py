@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import socket
 import threading
 
 import numpy as np
@@ -172,39 +171,6 @@ class TestProtocolErrors:
         assert metrics["service.protocol_errors"] == 2
         ok = [r for r in responses if r["ok"]]
         assert len(ok) == 1 and ok[0]["id"] == "after"
-
-    def test_tcp_client_gets_protocol_error_line(self, trace_file):
-        path, _ = trace_file
-        with CurveService(workers=1) as svc:
-            server = serve_tcp(svc, "127.0.0.1", 0)
-            host, port = server.server_address[:2]
-            runner = threading.Thread(target=server.serve_forever,
-                                      daemon=True)
-            runner.start()
-            try:
-                with socket.create_connection((host, port),
-                                              timeout=30) as sock:
-                    sock.sendall(b"\xff\xfebad\n" +
-                                 json.dumps({"trace": path,
-                                             "id": "tcp"}).encode() +
-                                 b"\n")
-                    sock.shutdown(socket.SHUT_WR)
-                    buf = b""
-                    while True:
-                        chunk = sock.recv(65536)
-                        if not chunk:
-                            break
-                        buf += chunk
-                responses = [json.loads(l) for l in
-                             buf.decode().strip().splitlines()]
-            finally:
-                server.shutdown()
-                server.server_close()
-            metrics = svc.metrics()
-        assert metrics["service.protocol_errors"] == 1
-        by_id = {r["id"]: r for r in responses}
-        assert by_id["tcp"]["ok"] is True
-        assert by_id[None]["error"] == "ProtocolError"
 
 
 class TestServeCLI:

@@ -105,7 +105,10 @@ class TestFailurePaths:
             assert rejected > 0  # queue bound actually bit
             for f in accepted:
                 f.result(timeout=60)
-            snap = tenants.curve("t").result(timeout=60)
+            # Read the registry directly: a drain unit left over from a
+            # batch another unit already applied may still hold the one
+            # queue slot, so a queued curve() could be rejected.
+            snap = tenants.registry.curve("t")
             # every accepted batch landed exactly once, none of the
             # rejected ones did (the rollback removed them)
             assert snap.total_accesses == len(accepted) * 500
