@@ -1,8 +1,8 @@
-"""Warm shared-memory executor vs per-call process pools.
+"""Warm shared-memory executor vs a fresh executor per call.
 
 The measurement behind ``repro.parallel_exec``: once workers are forked
 and the arena is mapped, dispatching a solve costs descriptor pickling
-plus two rebasing copies — not a pool fork, not an array pickle.  Three
+plus two rebasing copies — not a pool fork, not an array pickle.  Two
 sides, each timed in its own subprocess (fork-heavy workloads leave the
 parent's allocator and page tables in a state that skews whoever runs
 second):
@@ -11,9 +11,6 @@ second):
   per-dispatch seconds after warm-up.  This is the service steady state.
 * **fresh** — a new executor per call (fork + arena map + dispatch +
   teardown).  The cold-start cost the persistent pool amortizes away.
-* **pickled** — the legacy ``multiprocessing.Pool`` path
-  (``REPRO_EXEC_DISABLE=1``): pool fork per call plus whole-subarray
-  pickling both ways.
 
 Acceptance bar (recorded in ``BENCH_process_parallel.json``): warm
 dispatch no slower than the fresh-pool per-call path — if the pool
@@ -49,7 +46,7 @@ CHILD_FLAG = "--child"  # internal: one isolated timing side
 
 UNIVERSE = 40_000
 REPEATS = 5
-MODES = ("warm", "fresh", "pickled")
+MODES = ("warm", "fresh")
 
 
 def proc_n() -> int:
@@ -67,11 +64,6 @@ def _zipf_trace(n: int, seed: int = 17) -> np.ndarray:
 
 def _child(mode: str, n: int, workers: int) -> float:
     """Min-of-``REPEATS`` seconds for one side, in the current process."""
-    if mode == "pickled":
-        # default_executor() checks the env at call time, so this turns
-        # every dispatch below into the legacy per-call Pool path.
-        os.environ["REPRO_EXEC_DISABLE"] = "1"
-
     from repro.core.parallel import process_parallel_iaf_distances
     from repro.parallel_exec import ProcessExecutor
 
@@ -93,13 +85,10 @@ def _child(mode: str, n: int, workers: int) -> float:
         return best
 
     def once():
-        if mode == "fresh":
-            with ProcessExecutor(workers=workers) as ex:
-                process_parallel_iaf_distances(
-                    trace, workers=workers, executor=ex
-                )
-        else:  # pickled
-            process_parallel_iaf_distances(trace, workers=workers)
+        with ProcessExecutor(workers=workers) as ex:
+            process_parallel_iaf_distances(
+                trace, workers=workers, executor=ex
+            )
 
     once()  # one throwaway round: numpy pools and imports warm
     best = float("inf")
@@ -111,7 +100,7 @@ def _child(mode: str, n: int, workers: int) -> float:
 
 
 def measure(n: int, workers: int) -> Dict[str, float]:
-    """Time the three sides in alternating subprocess rounds."""
+    """Time the two sides in alternating subprocess rounds."""
     # Correctness gate before spending the timing budget: the executor
     # path must be bit-identical to the single-process engine.
     from repro.core.engine import iaf_distances
@@ -133,7 +122,6 @@ def measure(n: int, workers: int) -> Dict[str, float]:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_dir, env.get("PYTHONPATH")) if p
     )
-    env.pop("REPRO_EXEC_DISABLE", None)  # children opt in per mode
     times = {mode: float("inf") for mode in MODES}
     for _round in range(2):
         for mode in times:
@@ -143,18 +131,14 @@ def measure(n: int, workers: int) -> Dict[str, float]:
                 capture_output=True, text=True, check=True, env=env,
             )
             times[mode] = min(times[mode], float(proc.stdout.strip()))
-    warm, fresh, pickled = (times["warm"], times["fresh"],
-                            times["pickled"])
+    warm, fresh = times["warm"], times["fresh"]
     return {
         "n": n,
         "workers": workers,
         "warm_s": warm,
         "fresh_s": fresh,
-        "pickled_s": pickled,
-        # How much a dispatch saves by reusing the pool (the tentpole's
-        # reason to exist) and vs the legacy pickling pool.
+        # How much a dispatch saves by reusing the pool.
         "overhead_ratio": fresh / warm if warm else float("inf"),
-        "pickled_ratio": pickled / warm if warm else float("inf"),
     }
 
 
@@ -169,8 +153,6 @@ def _render(results: Dict[str, float]) -> str:
         ["warm pool (persistent)", f"{results['warm_s']:.4f}", "1.00x"],
         ["fresh executor per call", f"{results['fresh_s']:.4f}",
          f"{results['overhead_ratio']:.2f}x"],
-        ["legacy pickled pool", f"{results['pickled_s']:.4f}",
-         f"{results['pickled_ratio']:.2f}x"],
     ]
     return render_table(
         f"Process dispatch overhead (n={results['n']:,}, "
@@ -214,8 +196,7 @@ def main() -> int:
         return 1
     print(
         f"ok: warm dispatch {results['warm_s']:.4f}s/call; fresh pool "
-        f"{results['overhead_ratio']:.2f}x, legacy pickled pool "
-        f"{results['pickled_ratio']:.2f}x slower"
+        f"{results['overhead_ratio']:.2f}x slower"
     )
     return 0
 

@@ -45,6 +45,7 @@ class ShardProcess:
     port: int = 0
     _ready: threading.Event = field(default_factory=threading.Event)
     _stderr_tail: List[str] = field(default_factory=list)
+    _watcher: Optional[threading.Thread] = None
 
     @property
     def alive(self) -> bool:
@@ -55,20 +56,22 @@ def _watch_stderr(shard: ShardProcess) -> None:
     """Scan a shard's stderr for the ready line, then keep draining.
 
     Draining matters: an un-read pipe fills and wedges the child the
-    first time it logs anything.
+    first time it logs anything.  The pipe is closed at EOF, once the
+    shard (and every process it forked) has exited.
     """
     assert shard.proc.stderr is not None
-    for raw in shard.proc.stderr:
-        line = raw.decode("utf-8", "replace").rstrip()
-        if not shard._ready.is_set():
-            match = _READY_RE.search(line)
-            if match:
-                shard.host = match.group(1)
-                shard.port = int(match.group(2))
-                shard._ready.set()
-                continue
-        shard._stderr_tail.append(line)
-        del shard._stderr_tail[:-20]
+    with shard.proc.stderr:
+        for raw in shard.proc.stderr:
+            line = raw.decode("utf-8", "replace").rstrip()
+            if not shard._ready.is_set():
+                match = _READY_RE.search(line)
+                if match:
+                    shard.host = match.group(1)
+                    shard.port = int(match.group(2))
+                    shard._ready.set()
+                    continue
+            shard._stderr_tail.append(line)
+            del shard._stderr_tail[:-20]
 
 
 def _spawn_shard(index: int, *, host: str, workers: int,
@@ -90,11 +93,31 @@ def _spawn_shard(index: int, *, host: str, workers: int,
         stderr=subprocess.PIPE,
     )
     shard = ShardProcess(name=f"shard{index}", proc=proc)
-    threading.Thread(
+    shard._watcher = threading.Thread(
         target=_watch_stderr, args=(shard,),
         name=f"{shard.name}-stderr", daemon=True,
-    ).start()
+    )
+    shard._watcher.start()
     return shard
+
+
+def _stop_shards(shards: List[ShardProcess], *, kill: bool,
+                 timeout: float) -> None:
+    """Stop every shard and wait for its watcher to close the pipe."""
+    for shard in shards:
+        if shard.alive:
+            if kill:
+                shard.proc.kill()
+            else:
+                shard.proc.terminate()
+    for shard in shards:
+        try:
+            shard.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            shard.proc.kill()
+            shard.proc.wait(timeout=timeout)
+        if shard._watcher is not None:
+            shard._watcher.join(timeout=timeout)
 
 
 class ClusterHandle:
@@ -123,15 +146,7 @@ class ClusterHandle:
         self.server.shutdown()
         self.server.server_close()
         self.frontend.close()
-        for shard in self.shards:
-            if shard.alive:
-                shard.proc.terminate()
-        for shard in self.shards:
-            try:
-                shard.proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                shard.proc.kill()
-                shard.proc.wait(timeout=10.0)
+        _stop_shards(self.shards, kill=False, timeout=10.0)
 
     def __enter__(self) -> "ClusterHandle":
         return self
@@ -160,13 +175,14 @@ def spawn_ring(
     """
     if n < 1:
         raise ValueError(f"cluster size must be >= 1, got {n}")
-    shards = [
-        _spawn_shard(i, host=host, workers=workers,
-                     shard_processes=shard_processes,
-                     extra_args=tuple(extra_args))
-        for i in range(n)
-    ]
+    shards: List[ShardProcess] = []
     try:
+        for i in range(n):
+            shards.append(_spawn_shard(
+                i, host=host, workers=workers,
+                shard_processes=shard_processes,
+                extra_args=tuple(extra_args),
+            ))
         for shard in shards:
             if not shard._ready.wait(timeout=_READY_TIMEOUT):
                 tail = "\n".join(shard._stderr_tail)
@@ -186,14 +202,7 @@ def spawn_ring(
         threading.Thread(target=server.serve_forever, name="ring-server",
                          daemon=True).start()
     except BaseException:
-        for shard in shards:
-            if shard.alive:
-                shard.proc.kill()
-        for shard in shards:
-            try:
-                shard.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
+        _stop_shards(shards, kill=True, timeout=5.0)
         raise
     return ClusterHandle(shards, frontend, server)
 

@@ -34,18 +34,15 @@ is a frozen :class:`~repro.core.config.SolveConfig`::
     result = solve(trace, cfg)          # SolveResult: curve+stats+timing
 
 :func:`solve` / :func:`solve_batch` are the single execution path the
-CLI and the :mod:`repro.service` serving layer share.  The historical
-keyword style (``hit_rate_curve(trace, algorithm=..., workers=...)``)
-keeps working through a deprecation shim that warns **once per call
-site** and forwards into a ``SolveConfig``.
+CLI and the :mod:`repro.service` serving layer share.  The keyword
+style of 1.x (``hit_rate_curve(trace, algorithm=..., workers=...)``) was
+removed in 2.0: such calls raise :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-import warnings
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,60 +58,6 @@ from .hitrate import HitRateCurve, curve_from_backward_distances
 from .parallel import parallel_iaf_distances, parallel_iaf_distances_batch
 from .prevnext import prev_next_arrays
 from .reference import reference_distances
-
-# ---------------------------------------------------------------------------
-# Deprecation shim: keyword-style calls -> SolveConfig, one warning per site
-# ---------------------------------------------------------------------------
-
-#: Keyword parameters the legacy call style accepted, per function.
-_CURVE_KWARGS = frozenset(
-    ("algorithm", "max_cache_size", "workers", "dtype", "memory_config",
-     "stats", "engine_backend", "workspace")
-)
-_DISTANCE_KWARGS = frozenset(
-    ("algorithm", "workers", "dtype", "engine_backend")
-)
-
-#: Call sites (filename, lineno) that already received their warning.
-_warned_sites: Set[Tuple[str, int]] = set()
-
-
-def _legacy_config(
-    func: str,
-    config: Optional[SolveConfig],
-    kwargs: Dict[str, Any],
-    allowed: frozenset,
-) -> Tuple[SolveConfig, Optional[EngineStats]]:
-    """Fold legacy keyword arguments into a :class:`SolveConfig`.
-
-    Emits a :class:`DeprecationWarning` the first time each *call site*
-    (caller filename + line) uses the keyword style; subsequent calls
-    from the same site — loops, property-based tests — stay silent.
-    ``stats`` is the old out-parameter and is returned separately so it
-    can still be filled in place.
-    """
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise TypeError(
-            f"{func}() got unexpected keyword argument(s) "
-            f"{sorted(unknown)}"
-        )
-    caller = sys._getframe(2)
-    site = (caller.f_code.co_filename, caller.f_lineno)
-    if site not in _warned_sites:
-        _warned_sites.add(site)
-        warnings.warn(
-            f"keyword-style {func}({', '.join(sorted(kwargs))}=...) is "
-            f"deprecated; pass a SolveConfig instead, e.g. "
-            f"{func}(trace, SolveConfig({', '.join(sorted(set(kwargs) - {'stats'}))}=...)). "
-            f"The keyword shim will be removed in 2.0 (see README).",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    stats = kwargs.pop("stats", None)
-    base = config if config is not None else SolveConfig()
-    return (base.replace(**kwargs) if kwargs else base), stats
-
 
 # ---------------------------------------------------------------------------
 # The unified execution path
@@ -289,7 +232,7 @@ def solve_batch(
 
 
 # ---------------------------------------------------------------------------
-# The classic façade (SolveConfig-first, keyword shim for legacy calls)
+# The classic façade
 # ---------------------------------------------------------------------------
 
 
@@ -298,31 +241,21 @@ def hit_rate_curve(
     config: Optional[SolveConfig] = None,
     *,
     return_stats: bool = False,
-    **kwargs: Any,
 ):
     """Exact LRU hit-rate curve of ``trace``.
 
     ``config`` selects the implementation and its knobs (see
     :class:`~repro.core.config.SolveConfig`); with ``return_stats=True``
     the full :class:`~repro.core.config.SolveResult` is returned instead
-    of the bare curve.  Legacy keyword arguments (``algorithm=``,
-    ``max_cache_size=``, ``workers=``, ``dtype=``, ``memory_config=``,
-    ``stats=``, ``engine_backend=``) still work through a deprecation
-    shim that warns once per call site.
+    of the bare curve.
     """
-    stats = None
-    if kwargs:
-        config, stats = _legacy_config(
-            "hit_rate_curve", config, kwargs, _CURVE_KWARGS
-        )
-    result = solve(trace, config, stats=stats)
+    result = solve(trace, config)
     return result if return_stats else result.curve
 
 
 def stack_distances(
     trace: TraceLike,
     config: Optional[SolveConfig] = None,
-    **kwargs: Any,
 ) -> np.ndarray:
     """Forward LRU stack distance of every access (0 = first occurrence).
 
@@ -330,10 +263,6 @@ def stack_distances(
     cache of size ``k``.  Only the distance-materializing algorithms
     (``iaf``, ``parallel-iaf``, ``reference``) are supported.
     """
-    if kwargs:
-        config, _stats = _legacy_config(
-            "stack_distances", config, kwargs, _DISTANCE_KWARGS
-        )
     cfg = config if config is not None else SolveConfig()
     if cfg.algorithm not in ("iaf", "parallel-iaf", "reference"):
         raise ReproError(
@@ -363,7 +292,6 @@ def hit_rate_curves_batch(
     config: Optional[SolveConfig] = None,
     *,
     return_stats: bool = False,
-    **kwargs: Any,
 ):
     """Exact LRU hit-rate curves of many traces at once.
 
@@ -371,12 +299,7 @@ def hit_rate_curves_batch(
     with ``return_stats=True`` the list holds full
     :class:`~repro.core.config.SolveResult` objects instead of curves.
     """
-    stats = None
-    if kwargs:
-        config, stats = _legacy_config(
-            "hit_rate_curves_batch", config, kwargs, _CURVE_KWARGS
-        )
-    results = solve_batch(traces, config, stats=stats)
+    results = solve_batch(traces, config)
     return results if return_stats else [r.curve for r in results]
 
 

@@ -9,6 +9,11 @@ the state an LRU stack of depth ``k`` would hold.  Lemma 7.1 guarantees
 the per-chunk *forward* distances, truncated at ``k + 1``, agree with the
 global ones.
 
+``Q̄`` is the living-request carry of
+:class:`repro.core.chunked.ChunkedIAF` truncated at ``k``, so the serial
+algorithm is that engine with ``max_cache_size=k`` and
+``chunk_multiplier * k``-access chunks.
+
 Forward distances come from the reversal duality
 ``f(T) = reverse(d(reverse(T)))``: the backward distance vector of the
 reversed trace, reversed, is the forward distance vector of the original
@@ -36,6 +41,7 @@ from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
 from ..errors import CapacityError
 from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
+from .chunked import ChunkedIAF
 from .engine import EngineStats, iaf_distances
 from .hitrate import HitRateCurve, curve_from_forward_distances, merge_curves
 from .prevnext import distinct_count, prev_next_arrays
@@ -116,7 +122,6 @@ def bounded_iaf(
     never the whole trace.
     """
     arr = as_trace(trace, dtype=dtype)
-    dt = validate_dtype(dtype)
     n = arr.size
     if n == 0:
         return BoundedResult(HitRateCurve(np.zeros(0, np.int64), 0), [], [], 0)
@@ -132,33 +137,16 @@ def bounded_iaf(
             f"chunk_multiplier must be >= 1, got {chunk_multiplier}"
         )
     chunk_len = chunk_multiplier * k
-
-    tracer = get_tracer()
-    traced = tracer.enabled
-    qbar = np.zeros(0, dtype=dt)
-    windows: List[HitRateCurve] = []
-    bounds: List[Tuple[int, int]] = []
-    for start in range(0, n, chunk_len):
-        stop = min(start + chunk_len, n)
-        chunk = arr[start:stop]
-        span = (
-            tracer.span("bounded.chunk", chunk=len(bounds), start=start,
-                        stop=stop, k=k)
-            if traced
-            else NULL_SPAN
-        )
-        with span:
-            windows.append(
-                _process_chunk(qbar, chunk, k, dt, stats=stats,
-                               memory=memory,
-                               engine_backend=engine_backend)
-            )
-            bounds.append((start, stop))
-            qbar = recent_distinct_suffix(qbar, chunk, k)
-        if memory is not None:
-            memory.observe("bounded.qbar", int(qbar.nbytes))
-    if memory is not None:
-        memory.observe("bounded.qbar", 0)
+    engine = ChunkedIAF(
+        chunk_len, max_cache_size=k, dtype=dtype, stats=stats,
+        memory=memory, engine_backend=engine_backend,
+        span_name="bounded.chunk",
+    )
+    engine.push(arr)
+    engine.flush()
+    windows = engine.windows
+    bounds = [(start, min(start + chunk_len, n))
+              for start in range(0, n, chunk_len)]
     return BoundedResult(
         curve=merge_curves(windows).with_stats(stats), windows=windows,
         chunk_bounds=bounds, k=k, stats=stats,
@@ -170,25 +158,18 @@ def _process_chunk(
     chunk: np.ndarray,
     k: int,
     dt: np.dtype,
-    *,
-    stats: Optional[EngineStats] = None,
-    memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
 ) -> HitRateCurve:
     """Lemma 7.1: distances for ``chunk`` from the trace ``Q̄ · chunk``."""
     r_trace = np.concatenate([qbar, chunk]).astype(dt, copy=False)
-    if memory is not None:
-        memory.observe("bounded.chunk", int(r_trace.nbytes) * 2)
     prev_r, _ = prev_next_arrays(r_trace)
-    f = forward_distances_via_reversal(r_trace, dtype=dt, stats=stats,
+    f = forward_distances_via_reversal(r_trace, dtype=dt,
                                        engine_backend=engine_backend)
     m = qbar.size
     # Only the chunk part of R contributes; clip to the k+1 sentinel (the
     # paper's min(k+1, ·) — values past k are indistinguishable misses).
     f_chunk = np.minimum(f[m:], k + 1)
     prev_chunk = prev_r[m:]
-    if memory is not None:
-        memory.observe("bounded.chunk", 0)
     return curve_from_forward_distances(
         f_chunk, np.where(prev_chunk == -1, -1, 0), truncated_at=k
     )
@@ -253,7 +234,7 @@ def parallel_bounded_iaf(
         )
         with span:
             return _process_chunk(qbars[i], chunks[i], k, dt,
-                                  engine_backend=engine_backend)
+                                  engine_backend)
 
     if workers == 1:
         windows = [run(i) for i in range(len(chunks))]

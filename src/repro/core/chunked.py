@@ -30,9 +30,10 @@ Consequences:
   buffer, and one chunk solve's engine state.  Nothing grows with n.
 * With ``max_cache_size=k`` the carry is truncated to the ``k`` most
   recent living requests and windows come out ``truncated_at=k`` —
-  exactly the BOUNDED-IAF chunk loop, which is how
-  :class:`repro.core.streaming.OnlineCurveAnalyzer` now runs on top of
-  this engine.
+  the BOUNDED-IAF chunk loop itself: serial
+  :func:`repro.core.bounded.bounded_iaf` and
+  :class:`repro.core.streaming.OnlineCurveAnalyzer` both run on this
+  engine in that mode.
 
 See docs/STREAMING.md for the architecture write-up.
 """

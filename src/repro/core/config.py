@@ -17,9 +17,8 @@ response side a :class:`SolveResult`:
   same names :class:`~repro.core.bounded.BoundedResult` and
   :class:`~repro.core.external.ExternalRunReport` carry.
 
-The old keyword style still works everywhere via a deprecation shim in
-:mod:`repro.core.api` that warns once per call site and forwards into a
-``SolveConfig``; see docs/API.md for the migration table.
+The 1.x keyword style (``hit_rate_curve(trace, algorithm=...)``) was
+removed in 2.0; see docs/API.md.
 """
 
 from __future__ import annotations

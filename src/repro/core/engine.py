@@ -983,7 +983,7 @@ def _fused_write_child(
 #: ~64k ops keep that working set inside a per-core L2 even on batched
 #: multi-million-op levels, where unblocked passes would stream every
 #: array through the last-level cache ~45 times per level.
-_LEVEL_CHUNK_OPS = int(os.environ.get("REPRO_ENGINE_CHUNK_OPS", 1 << 16))
+_LEVEL_CHUNK_OPS = 1 << 16
 
 
 def _level_chunks(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -328,34 +328,6 @@ def parallel_iaf_hit_rate_curves_batch(
     return curves
 
 
-def _solve_part_remote(
-    payload: Tuple,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Process-pool worker: solve one Segments part in a child process.
-
-    The part arrives as plain arrays (picklable); all coordinates are
-    rebased to the part's span so the local output array is small.  The
-    weight array rides along (``None`` for the unit-weight algorithm) so
-    Section-9.1 weighted subproblems survive the process hop.
-    Returns the segment bounds (absolute ``lo``/``hi``) and local values.
-    """
-    kind, t, r, starts, lo, hi, w, engine_backend = payload
-    base = int(lo.min())
-    span = int(hi.max()) - base + 1
-    local = np.zeros(span, dtype=np.int64)
-    part = Segments(
-        kind=kind,
-        t=(t - base).astype(t.dtype),
-        r=r,
-        starts=starts,
-        lo=lo - base,
-        hi=hi - base,
-        w=w,
-    )
-    solve_prepost_arrays(part, local, engine_backend=engine_backend)
-    return lo, hi, local
-
-
 def _solve_split_processes(
     seg: Segments,
     values: np.ndarray,
@@ -365,56 +337,22 @@ def _solve_split_processes(
 ) -> None:
     """Split ``seg`` and solve the parts across processes.
 
-    The fast path dispatches through the persistent shared-memory
-    executor (:mod:`repro.parallel_exec`): workers are already forked,
-    the parts are published into the shared arena, and only descriptors
-    cross the pipe.  When that pool is unavailable or disabled
-    (``REPRO_EXEC_DISABLE=1``) the legacy per-call pickled pool runs
-    instead — the benchmark's A/B baseline.
+    Parts go through the persistent shared-memory executor
+    (:mod:`repro.parallel_exec`): workers are already forked, the parts
+    are published into the shared arena, and only descriptors cross the
+    pipe.  When that pool cannot be built (no shared memory on the
+    platform) the parts run on the thread dispatcher instead, which
+    writes the same cells.
     """
-    parts = _split_segments(seg, workers)
     if executor is None:
         from ..parallel_exec import default_executor
 
         executor = default_executor(workers)
-    if executor is not None:
-        executor.solve_parts(parts, values, engine_backend=engine_backend)
+    if executor is None:
+        _solve_split_threads(seg, values, workers, None, engine_backend)
         return
-    _solve_split_processes_pickled(parts, values, workers, engine_backend)
-
-
-def _solve_split_processes_pickled(
-    parts: List[Segments],
-    values: np.ndarray,
-    workers: int,
-    engine_backend: Optional[str] = None,
-) -> None:
-    """Legacy dispatch: a fresh pool and fully pickled arrays per call.
-
-    Child processes have their own (disabled) tracers, so their internal
-    levels are invisible here; the parent-side ``parallel.dispatch`` span
-    covers pickling, the pool round-trip, and the interval merge.
-    """
-    tracer = get_tracer()
-    span = (
-        tracer.span("parallel.dispatch", parts=len(parts), workers=workers)
-        if tracer.enabled
-        else NULL_SPAN
-    )
-    with span:
-        payloads = [
-            (p.kind, np.ascontiguousarray(p.t), np.ascontiguousarray(p.r),
-             np.ascontiguousarray(p.starts), np.ascontiguousarray(p.lo),
-             np.ascontiguousarray(p.hi),
-             None if p.w is None else np.ascontiguousarray(p.w),
-             engine_backend)
-            for p in parts
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lo, hi, local in pool.map(_solve_part_remote, payloads):
-                _merge_part_values(values, lo, hi, local)
+    executor.solve_parts(_split_segments(seg, workers), values,
+                         engine_backend=engine_backend)
 
 
 def _merge_part_values(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .._typing import DEFAULT_DTYPE, TraceLike, validate_dtype
 from ..errors import CapacityError
-from .chunked import ChunkedIAF, _restate_truncation
+from .chunked import ChunkedIAF
 from .hitrate import HitRateCurve
 
 
@@ -152,25 +152,6 @@ class OnlineCurveAnalyzer:
     def window_curve(self, index: int) -> HitRateCurve:
         """Curve of one completed window."""
         return self._engine.windows[index]
-
-    def _min_k(self) -> int:
-        ks = [w.truncated_at for w in self._engine.windows
-              if w.truncated_at is not None]
-        return min(ks + [self._k])
-
-    @staticmethod
-    def _retruncate(curve: HitRateCurve, k: int) -> HitRateCurve:
-        """Restate ``curve`` with exactly ``k`` explicit sizes.
-
-        Window curves may store fewer than ``k`` entries (no access in
-        the window had a larger reuse distance), so ``[:k]`` alone would
-        label a short array ``truncated_at=k`` and let ``merge_curves``
-        mix unequal-length mislabeled curves.  Because ``k`` never
-        exceeds the window's own truncation bound (``_min_k`` guarantees
-        it), the curve is exact for every size up to ``k`` — short
-        arrays extend with a flat tail, long ones are cut.
-        """
-        return _restate_truncation(curve, k)
 
 
 def analyze_stream(

@@ -1,13 +1,10 @@
 """Persistent shared-memory process executor for the parallel engine.
 
 The paper's Θ(log n)-span parallelism (§6) only pays off in practice if
-dispatch is cheap.  Before this module, every process-parallel solve
-spun up a fresh ``ProcessPoolExecutor`` and pickled full operation
-arrays across the pipe — fork plus one serialization pass over the data
-per request, the exact overhead Byrne et al. (arXiv:1804.01972) name as
-the gap between asymptotic parallel MRC algorithms and deployed ones.
-
-Here workers are forked **once** and reused across requests:
+dispatch is cheap: Byrne et al. (arXiv:1804.01972) name per-call
+dispatch overhead as the gap between asymptotic parallel MRC algorithms
+and deployed ones.  Workers are therefore forked **once** and reused
+across requests:
 
 * One ``multiprocessing.shared_memory`` block (the *arena*) holds every
   published array.  A first-fit free-list allocator hands out 64-byte
@@ -24,8 +21,8 @@ Here workers are forked **once** and reused across requests:
 * Workers build zero-copy numpy views over the arena, solve with
   :func:`~repro.core.engine.solve_prepost_arrays` into a shared output
   block, and reply with a bare ``("done", job_id)``.  The parent merges
-  from the shared output region via the same
-  :func:`~repro.core.parallel._merge_part_values` the pickled path used.
+  from the shared output region via
+  :func:`~repro.core.parallel._merge_part_values`.
 
 Robustness is first-class, mirroring the service's CapacityError
 degrade ladder: per-dispatch timeouts, dead-worker detection, bounded
@@ -34,16 +31,13 @@ solve when retries exhaust.  Every rung is counted (``exec.dispatch``,
 ``exec.retry``, ``exec.respawn``, ``exec.degraded`` …) and span-traced,
 and the whole ladder is fault-injected via :func:`set_fault_hook`
 (see :mod:`repro.qa.faults`, which kills workers mid-solve).
-
-``REPRO_EXEC_DISABLE=1`` falls back to the legacy per-call pickled
-pool (the benchmark's A/B baseline); ``REPRO_EXEC_ARENA_BYTES`` sets
-the initial arena size; ``REPRO_EXEC_START`` pins the start method.
 """
 
 from __future__ import annotations
 
 import atexit
 import bisect
+import multiprocessing as mp
 import os
 import pickle
 import signal
@@ -413,11 +407,10 @@ class ProcessExecutor:
         self,
         workers: int = 2,
         *,
-        arena_bytes: Optional[int] = None,
+        arena_bytes: int = _DEFAULT_ARENA_BYTES,
         dispatch_timeout: float = 120.0,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ExecutorError(f"workers must be >= 1, got {workers}")
@@ -429,10 +422,9 @@ class ProcessExecutor:
             raise ExecutorError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if arena_bytes is None:
-            arena_bytes = int(os.environ.get("REPRO_EXEC_ARENA_BYTES",
-                                             _DEFAULT_ARENA_BYTES))
-        self._ctx = self._pick_context(start_method)
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         # Lock order (outer to inner): _alloc_lock -> _lock -> _io_lock
         # -> _counters_lock.  Never acquire leftward while holding a
         # rightward lock.  The fault hook fires outside all of them.
@@ -458,16 +450,6 @@ class ProcessExecutor:
         except BaseException:
             self.close()
             raise
-
-    @staticmethod
-    def _pick_context(start_method: Optional[str]):
-        import multiprocessing as mp
-
-        method = start_method or os.environ.get("REPRO_EXEC_START")
-        if method is None:
-            method = ("fork" if "fork" in mp.get_all_start_methods()
-                      else "spawn")
-        return mp.get_context(method)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -977,12 +959,9 @@ _default_executor: Optional[ProcessExecutor] = None
 def default_executor(workers: int = 2) -> Optional[ProcessExecutor]:
     """The process-wide shared pool (grown to ``workers``, never shrunk).
 
-    Returns ``None`` when persistent execution is unavailable or
-    disabled (``REPRO_EXEC_DISABLE=1``) — callers fall back to the
-    legacy per-call pickled pool.
+    Returns ``None`` when the pool cannot be built (no shared memory on
+    this platform) — callers then solve on threads.
     """
-    if os.environ.get("REPRO_EXEC_DISABLE", "") not in ("", "0"):
-        return None
     global _default_executor
     with _default_lock:
         if _default_executor is None or _default_executor.closed:

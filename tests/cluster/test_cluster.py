@@ -12,7 +12,9 @@ Two harnesses:
 """
 
 import contextlib
+import gc
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -201,10 +203,19 @@ class TestShardKill:
 
 class TestSpawnSmoke:
     def test_single_shard_ring_round_trip(self):
-        with spawn_ring(1) as cluster:
-            with CurveClient(*cluster.address) as client:
-                info = client.server_info
-                assert info["ok"] is True
-                resp = client.solve([1, 2, 1], sizes=[1, 2])
-                assert resp["total_accesses"] == 3
-            assert cluster.metrics()["ring.requests"] >= 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with spawn_ring(1) as cluster:
+                with CurveClient(*cluster.address) as client:
+                    info = client.server_info
+                    assert info["ok"] is True
+                    resp = client.solve([1, 2, 1], sizes=[1, 2])
+                    assert resp["total_accesses"] == 3
+                assert cluster.metrics()["ring.requests"] >= 1
+            # Closing the ring closes every shard's stderr pipe.
+            assert all(s.proc.stderr.closed for s in cluster.shards)
+            del cluster
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert not leaks

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import ALGORITHMS, hit_rate_curve, stack_distances
+from repro import ALGORITHMS, SolveConfig, hit_rate_curve, stack_distances
 from repro.baselines.naive import naive_hit_counts, naive_stack_distances
 from repro.errors import ReproError
 from repro.extmem.blockdevice import MemoryConfig
@@ -23,18 +23,18 @@ class TestHitRateCurveDispatch:
             kwargs["workers"] = 3
         if algorithm == "bounded-iaf":
             kwargs["max_cache_size"] = 12
-        curve = hit_rate_curve(tr, algorithm=algorithm, **kwargs)
+        curve = hit_rate_curve(tr, SolveConfig(algorithm=algorithm, **kwargs))
         for k in (1, 3, 12):
             w = int(want[min(k, len(want)) - 1]) if len(want) else 0
             assert curve.hits(k) == w, algorithm
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ReproError):
-            hit_rate_curve([1, 2], algorithm="magic")
+            hit_rate_curve([1, 2], SolveConfig(algorithm="magic"))
 
     def test_truncation_applies_to_full_algorithms(self):
         tr = np.array([1, 2, 3, 1, 2, 3])
-        c = hit_rate_curve(tr, max_cache_size=2)
+        c = hit_rate_curve(tr, SolveConfig(max_cache_size=2))
         assert c.truncated_at == 2
         assert c.max_size <= 2
         with pytest.raises(ReproError):
@@ -42,20 +42,19 @@ class TestHitRateCurveDispatch:
 
     def test_bad_truncation_rejected(self):
         with pytest.raises(ReproError):
-            hit_rate_curve([1, 2], max_cache_size=0)
+            hit_rate_curve([1, 2], SolveConfig(max_cache_size=0))
 
     def test_external_accepts_memory_config(self):
         tr = np.random.default_rng(0).integers(0, 10, size=50)
-        c = hit_rate_curve(
-            tr, algorithm="external-iaf",
-            memory_config=MemoryConfig(64, 8),
-        )
+        c = hit_rate_curve(tr, SolveConfig(
+            algorithm="external-iaf", memory_config=MemoryConfig(64, 8),
+        ))
         assert np.array_equal(c.hits_cumulative, naive_hit_counts(tr))
 
     def test_dtype_knob(self):
         tr = np.random.default_rng(0).integers(0, 10, size=50)
-        c32 = hit_rate_curve(tr, dtype=np.int32)
-        c64 = hit_rate_curve(tr, dtype=np.int64)
+        c32 = hit_rate_curve(tr, SolveConfig(dtype=np.int32))
+        c64 = hit_rate_curve(tr, SolveConfig(dtype=np.int64))
         assert c32.almost_equal(c64)
 
 
@@ -69,20 +68,21 @@ class TestStackDistances:
     def test_parallel_variant(self):
         tr = np.random.default_rng(0).integers(0, 9, size=200)
         assert np.array_equal(
-            stack_distances(tr, algorithm="parallel-iaf", workers=3),
+            stack_distances(tr, SolveConfig(algorithm="parallel-iaf",
+                                            workers=3)),
             naive_stack_distances(tr),
         )
 
     def test_reference_variant(self):
         tr = np.random.default_rng(0).integers(0, 9, size=60)
         assert np.array_equal(
-            stack_distances(tr, algorithm="reference"),
+            stack_distances(tr, SolveConfig(algorithm="reference")),
             naive_stack_distances(tr),
         )
 
     def test_unsupported_algorithm_rejected(self):
         with pytest.raises(ReproError):
-            stack_distances([1], algorithm="ost")
+            stack_distances([1], SolveConfig(algorithm="ost"))
 
     def test_distance_defines_hit(self):
         """out[i] <= k and nonzero iff access i hits a size-k LRU cache."""

@@ -134,10 +134,18 @@ class TestParallelBounded:
     @given(nonempty_traces(max_len=40, max_addr=10), st.integers(1, 8),
            st.integers(1, 4))
     def test_matches_serial(self, trace, k, workers):
+        """The Q̄ prefix scan and the serial living carry agree window
+        by window, array for array."""
         serial = bounded_iaf(trace, k)
         par = parallel_bounded_iaf(trace, k, workers=workers)
-        assert par.curve.almost_equal(serial.curve)
+        assert par.chunk_bounds == serial.chunk_bounds
         assert len(par.windows) == len(serial.windows)
+        for got, want in zip(par.windows, serial.windows):
+            assert np.array_equal(got.hits_cumulative, want.hits_cumulative)
+            assert got.total_accesses == want.total_accesses
+            assert got.truncated_at == want.truncated_at
+        assert np.array_equal(par.curve.hits_cumulative,
+                              serial.curve.hits_cumulative)
 
     def test_rejects_bad_workers(self):
         with pytest.raises(CapacityError):

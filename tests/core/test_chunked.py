@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import SolveConfig, solve
-from repro.core.bounded import bounded_iaf
+from repro.core.bounded import bounded_iaf, parallel_bounded_iaf
 from repro.core.chunked import (
     ChunkedIAF,
     _restate_truncation,
@@ -119,12 +119,15 @@ class TestLivingCarry:
         assert engine.living_last_access.tolist() == [7, 8, 9]
 
     def test_bounded_mode_matches_bounded_iaf_windows(self):
+        # bounded_iaf itself runs on ChunkedIAF; the parallel form's Q̄
+        # prefix scan is the independent reference.
         trace = make_trace(21, max_len=2000)
         k, mult = 8, 3
         engine = ChunkedIAF(mult * k, max_cache_size=k)
         engine.push(trace)
         engine.flush()
-        ref = bounded_iaf(trace, k, chunk_multiplier=mult)
+        ref = parallel_bounded_iaf(trace, k, workers=1,
+                                   chunk_multiplier=mult)
         assert len(engine.windows) == len(ref.windows)
         for got, want in zip(engine.windows, ref.windows):
             assert np.array_equal(got.hits_cumulative,

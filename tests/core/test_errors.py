@@ -38,10 +38,10 @@ class TestHierarchy:
 
     def test_catching_the_base_catches_library_failures(self):
         """The documented contract: one except clause for library errors."""
-        from repro import hit_rate_curve
+        from repro import SolveConfig, hit_rate_curve
 
         with pytest.raises(ReproError):
-            hit_rate_curve([1, 2], algorithm="nope")
+            hit_rate_curve([1, 2], SolveConfig(algorithm="nope"))
         with pytest.raises(ReproError):
             hit_rate_curve([-1, 2])
 

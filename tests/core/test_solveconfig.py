@@ -1,6 +1,6 @@
 """The unified SolveConfig/SolveResult request API (PR 4 satellites).
 
-Covers: config validation, the once-per-call-site deprecation shim,
+Covers: config validation, the removed keyword style (2.0),
 ``return_stats`` result shapes, the ``_truncate`` metadata-preservation
 regression, and the unified ``.curve``/``.stats`` attribute names on
 ``BoundedResult`` and ``ExternalRunReport``.
@@ -22,6 +22,7 @@ from repro import (
     solve_batch,
     stack_distances,
 )
+from repro.baselines.naive import naive_stack_distances
 from repro.core.api import _truncate
 from repro.core.bounded import bounded_iaf
 from repro.core.engine import EngineStats, iaf_hit_rate_curve
@@ -144,21 +145,7 @@ class TestSolve:
 
 
 class TestDeprecationShim:
-    def test_warns_once_per_call_site(self, trace):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                hit_rate_curve(trace, algorithm="iaf")  # one site, 5 calls
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-
-    def test_distinct_sites_each_warn(self, trace):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            hit_rate_curve(trace, algorithm="iaf")
-            hit_rate_curve(trace, workers=1)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 2
+    """The 1.x keyword shim was removed in 2.0: keywords are TypeErrors."""
 
     def test_config_style_never_warns(self, trace):
         with warnings.catch_warnings(record=True) as caught:
@@ -168,24 +155,9 @@ class TestDeprecationShim:
             hit_rate_curves_batch([trace], SolveConfig())
         assert not caught
 
-    def test_keyword_and_config_agree(self, trace):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = hit_rate_curve(trace, algorithm="iaf",
-                                    max_cache_size=32, dtype=np.int32)
-        modern = hit_rate_curve(
-            trace, SolveConfig(max_cache_size=32, dtype=np.int32)
-        )
-        assert np.array_equal(legacy.hits_cumulative,
-                              modern.hits_cumulative)
-        assert legacy.truncated_at == modern.truncated_at == 32
-
-    def test_legacy_stats_out_parameter_still_filled(self, trace):
-        stats = EngineStats()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            hit_rate_curve(trace, stats=stats)
-        assert stats.levels > 0
+    def test_legacy_keyword_is_a_typeerror(self, trace):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            hit_rate_curve(trace, algorithm="iaf")
 
     def test_unknown_keyword_is_a_typeerror(self, trace):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -226,17 +198,6 @@ class TestSolveBatch:
         assert all(not r.batched for r in batch)
         direct = solve(traces[0], SolveConfig(algorithm="ost"))
         assert batch[0].curve.almost_equal(direct.curve)
-
-    def test_legacy_batch_kwargs_agree(self, rng):
-        traces = [rng.integers(0, 16, size=120) for _ in range(2)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = hit_rate_curves_batch(traces, max_cache_size=8)
-        modern = hit_rate_curves_batch(
-            traces, SolveConfig(max_cache_size=8)
-        )
-        for a, b in zip(legacy, modern):
-            assert np.array_equal(a.hits_cumulative, b.hits_cumulative)
 
 
 class TestTruncateMetadata:
@@ -297,10 +258,7 @@ class TestUnifiedResultShapes:
 class TestStackDistancesConfig:
     def test_config_style(self, trace):
         d = stack_distances(trace, SolveConfig())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = stack_distances(trace, algorithm="iaf")
-        assert np.array_equal(d, legacy)
+        assert np.array_equal(d, naive_stack_distances(trace))
 
     def test_unsupported_algorithm(self, trace):
         with pytest.raises(ReproError, match="stack_distances supports"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_hit_counts
 from repro.core.bounded import bounded_iaf
+from repro.core.chunked import _restate_truncation
 from repro.core.hitrate import HitRateCurve
 from repro.core.streaming import OnlineCurveAnalyzer, analyze_stream
 from repro.errors import CapacityError, ReproError
@@ -158,7 +159,7 @@ class TestRetruncate:
         assert curve.hits(5) == 1
 
     def test_padding_is_exact_flat_tail(self):
-        got = OnlineCurveAnalyzer._retruncate(
+        got = _restate_truncation(
             HitRateCurve(np.array([3], dtype=np.int64), 10,
                          truncated_at=8),
             5,
@@ -167,7 +168,7 @@ class TestRetruncate:
         assert np.array_equal(got.hits_cumulative, [3, 3, 3, 3, 3])
 
     def test_long_curve_cut_to_k(self):
-        got = OnlineCurveAnalyzer._retruncate(
+        got = _restate_truncation(
             HitRateCurve(np.array([1, 2, 3, 4], dtype=np.int64), 10,
                          truncated_at=4),
             2,
@@ -179,7 +180,7 @@ class TestRetruncate:
         short = HitRateCurve(np.array([2], dtype=np.int64), 4,
                              truncated_at=2)
         with pytest.raises(ReproError, match="truncated at 2"):
-            OnlineCurveAnalyzer._retruncate(short, 5)
+            _restate_truncation(short, 5)
 
     def test_mixed_length_windows_merge_cleanly(self):
         """Windows with different stored lengths (hot window: short

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.parallel as par
 import repro.parallel_exec as pe
 from repro.core.engine import iaf_distances, iaf_hit_rate_curve
 from repro.core.parallel import (
@@ -226,13 +227,26 @@ class TestDefaultExecutor:
         finally:
             shutdown_default_executor()
 
-    def test_disable_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_DISABLE", "1")
+    def test_unbuildable_pool_falls_back_to_threads(self, monkeypatch):
+        def no_shared_memory(*args, **kwargs):
+            raise OSError("no shared memory")
+
+        threaded = []
+        real_threads = par._solve_split_threads
+
+        def spy(*args, **kwargs):
+            threaded.append(True)
+            return real_threads(*args, **kwargs)
+
+        shutdown_default_executor()
+        monkeypatch.setattr(pe, "ProcessExecutor", no_shared_memory)
+        monkeypatch.setattr(par, "_solve_split_threads", spy)
         assert default_executor(2) is None
-        # The legacy pickled pool still answers correctly.
+        # The thread dispatcher writes the same cells.
         trace = make_trace(21, max_len=800)
         got = process_parallel_iaf_distances(trace, workers=2)
         assert np.array_equal(got, iaf_distances(trace))
+        assert threaded
 
     def test_recreated_after_shutdown(self):
         ex = default_executor(2)

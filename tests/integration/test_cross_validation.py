@@ -10,7 +10,7 @@ curves must equal what a real LRU cache does.
 import numpy as np
 import pytest
 
-from repro import hit_rate_curve
+from repro import SolveConfig, hit_rate_curve
 from repro.baselines.mattson import mattson_stack_distances
 from repro.baselines.naive import naive_backward_distances
 from repro.baselines.ost import ost_stack_distances
@@ -82,7 +82,7 @@ class TestCurveAgreement:
 
     def test_all_algorithms_identical_curves(self, name, trace):
         u = int(np.unique(trace).size)
-        reference = hit_rate_curve(trace, algorithm="iaf")
+        reference = hit_rate_curve(trace, SolveConfig(algorithm="iaf"))
         for algo in self.ALGOS[1:]:
             kwargs = {}
             if algo in ("parallel-iaf", "parda"):
@@ -90,7 +90,8 @@ class TestCurveAgreement:
             if algo == "bounded-iaf":
                 # u + 1 keeps every queried size within the truncation.
                 kwargs["max_cache_size"] = u + 1
-            curve = hit_rate_curve(trace, algorithm=algo, **kwargs)
+            curve = hit_rate_curve(trace,
+                                   SolveConfig(algorithm=algo, **kwargs))
             for k in {1, 2, u // 2 or 1, u}:
                 assert curve.hits(k) == reference.hits(k), (algo, k)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import hit_rate_curve
+from repro import SolveConfig, hit_rate_curve
 from repro.obs import Tracer, get_tracer, validate_span_tree
 from repro.obs.profile import ProfileResult, profile_hit_rate_curve
 
@@ -23,7 +23,7 @@ def result(trace) -> ProfileResult:
 
 class TestProfileRun:
     def test_curve_identical_to_untraced_run(self, trace, result):
-        plain = hit_rate_curve(trace, algorithm="iaf")
+        plain = hit_rate_curve(trace, SolveConfig(algorithm="iaf"))
         assert np.array_equal(result.curve.hits_cumulative,
                               plain.hits_cumulative)
         assert result.curve.total_accesses == plain.total_accesses
@@ -82,7 +82,8 @@ class TestAlgorithmMatrix:
     ])
     def test_profiles_every_dispatch_family(self, trace, algorithm, kwargs):
         res = profile_hit_rate_curve(trace, algorithm=algorithm, **kwargs)
-        plain = hit_rate_curve(trace, algorithm=algorithm, **kwargs)
+        plain = hit_rate_curve(trace,
+                               SolveConfig(algorithm=algorithm, **kwargs))
         assert np.array_equal(res.curve.hits_cumulative,
                               plain.hits_cumulative)
         validate_span_tree(res.events, allow_missing_parents=True)

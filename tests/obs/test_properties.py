@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import hit_rate_curve
+from repro import SolveConfig, hit_rate_curve
 from repro.obs import Counters, Tracer, tracing, validate_span_tree
 from repro.qa import case_from_seed, run_case_detailed
 
@@ -134,9 +134,10 @@ def test_enabled_tracing_preserves_curves(trace):
         ("bounded-iaf", {"max_cache_size": 4}),
         ("parallel-iaf", {"workers": 2}),
     ):
-        plain = hit_rate_curve(trace, algorithm=algorithm, **kwargs)
+        config = SolveConfig(algorithm=algorithm, **kwargs)
+        plain = hit_rate_curve(trace, config)
         with tracing() as t:
-            traced = hit_rate_curve(trace, algorithm=algorithm, **kwargs)
+            traced = hit_rate_curve(trace, config)
         assert np.array_equal(plain.hits_cumulative,
                               traced.hits_cumulative), algorithm
         assert plain.total_accesses == traced.total_accesses
