@@ -7,8 +7,8 @@ loopback connection:
 
 * **v2 binary**: client ``tobytes`` → framed ``sendall`` → server
   :func:`~repro.service.frames.read_frame_header` +
-  :func:`repro.service.server._read_payload` (the arena lease path when
-  the service owns a shared-memory pool, heap ``frombuffer`` otherwise).
+  :func:`repro.service.server._read_payload` (one heap buffer,
+  ``frombuffer``).
 * **v1 JSON lines**: client ``tolist`` → ``json.dumps`` → ``sendall``
   → server ``readline`` → ``json.loads`` →
   :func:`~repro.service.server.parse_request_obj` → ``np.asarray``.
@@ -84,8 +84,7 @@ def _timed_transfer(send, recv) -> float:
     return t_ready[0] - t0
 
 
-def measure_binary_ingest(service: CurveService,
-                          trace: np.ndarray) -> float:
+def measure_binary_ingest(trace: np.ndarray) -> float:
     def send(sock: socket.socket) -> None:
         sock.sendall(frames.encode_frame(
             frames.FRAME_REQUEST, {"id": "bulk", "sizes": [64]},
@@ -93,16 +92,10 @@ def measure_binary_ingest(service: CurveService,
         ))
 
     def recv(rfile):
-        frame_type, dtype_code, header, payload_len, elem_size = \
+        _type, dtype_code, _header, payload_len, _elem = \
             frames.read_frame_header(rfile)
-        arr, lease = _read_payload(
-            rfile, service, dtype_code, payload_len, elem_size,
-        )
-        arr = arr.astype(np.int64, copy=False)
-        if lease is not None:
-            arr = np.array(arr)  # own the bytes before releasing
-            lease.release()
-        return arr
+        arr = _read_payload(rfile, dtype_code, payload_len)
+        return arr.astype(np.int64, copy=False)
 
     times = [_timed_transfer(send, recv) for _ in range(REPEATS + 1)]
     return statistics.median(times[1:])  # first run warms the path
@@ -153,10 +146,8 @@ def main() -> int:
     rng = np.random.default_rng(0)
     trace = rng.integers(0, UNIVERSE, size=N).astype(np.int64)
 
-    with CurveService(workers=1, shard_processes=True) as svc:
-        arena_path = svc.ingest_lease(trace.nbytes) is not None
-        binary_s = measure_binary_ingest(svc, trace)
-        json_s = measure_json_ingest(trace)
+    binary_s = measure_binary_ingest(trace)
+    json_s = measure_json_ingest(trace)
 
     ratio = json_s / binary_s if binary_s else float("inf")
     results: Dict[str, object] = {
@@ -168,7 +159,6 @@ def main() -> int:
         "json_over_binary": ratio,
         "required_ratio": REQUIRED_RATIO,
         "binary_mb_per_s": trace.nbytes / binary_s / 1e6,
-        "arena_ingest_path": arena_path,
         "end_to_end_push": measure_push_round_trip(trace),
         # Honest provenance: one shared host, socketpair/loopback, both
         # endpoints competing for the same cores.

@@ -2,8 +2,8 @@
 
 The measurement behind ``repro.parallel_exec``: once workers are forked
 and the arena is mapped, dispatching a solve costs descriptor pickling
-plus two rebasing copies — not a pool fork, not an array pickle.  Two
-sides, each timed in its own subprocess (fork-heavy workloads leave the
+plus two rebasing copies — not a pool fork, not an array pickle.  Four
+arms, each timed in its own subprocess (fork-heavy workloads leave the
 parent's allocator and page tables in a state that skews whoever runs
 second):
 
@@ -11,10 +11,16 @@ second):
   per-dispatch seconds after warm-up.  This is the service steady state.
 * **fresh** — a new executor per call (fork + arena map + dispatch +
   teardown).  The cold-start cost the persistent pool amortizes away.
+* **threads** — :func:`~repro.core.parallel.parallel_iaf_distances`
+  over the same number of workers, the thread dispatcher.
+* **serial** — :func:`~repro.core.engine.iaf_distances`, one core.
 
 Acceptance bar (recorded in ``BENCH_process_parallel.json``): warm
 dispatch no slower than the fresh-pool per-call path — if the pool
 stops being reused, ``overhead_ratio`` collapses below 1 and CI fails.
+The ``threads`` and ``serial`` arms are unguarded context: with
+``cpu_count`` (also recorded) they show what the process pool buys
+over threads and over one core on the measuring machine.
 
 Runs two ways: under pytest like the sibling benches, or as a script
 (CI's perf-smoke job, under a hard ``timeout``) which writes the JSON
@@ -46,7 +52,7 @@ CHILD_FLAG = "--child"  # internal: one isolated timing side
 
 UNIVERSE = 40_000
 REPEATS = 5
-MODES = ("warm", "fresh")
+MODES = ("warm", "fresh", "threads", "serial")
 
 
 def proc_n() -> int:
@@ -62,27 +68,41 @@ def _zipf_trace(n: int, seed: int = 17) -> np.ndarray:
     return (rng.zipf(1.2, size=n) % UNIVERSE).astype(np.int64)
 
 
+def _best_of(once) -> float:
+    """Min-of-``REPEATS`` seconds after one throwaway call."""
+    once()
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        once()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def _child(mode: str, n: int, workers: int) -> float:
     """Min-of-``REPEATS`` seconds for one side, in the current process."""
-    from repro.core.parallel import process_parallel_iaf_distances
+    from repro.core.engine import iaf_distances
+    from repro.core.parallel import (
+        parallel_iaf_distances,
+        process_parallel_iaf_distances,
+    )
     from repro.parallel_exec import ProcessExecutor
 
     trace = _zipf_trace(n)
 
+    if mode == "threads":
+        return _best_of(
+            lambda: parallel_iaf_distances(trace, workers=workers)
+        )
+    if mode == "serial":
+        return _best_of(lambda: iaf_distances(trace))
     if mode == "warm":
+        # The throwaway call faults in worker pages and primes the
+        # arena free list.
         with ProcessExecutor(workers=workers) as ex:
-            def once():
-                process_parallel_iaf_distances(
-                    trace, workers=workers, executor=ex
-                )
-
-            once()  # fault in worker pages, prime the arena free list
-            best = float("inf")
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                once()
-                best = min(best, time.perf_counter() - t0)
-        return best
+            return _best_of(lambda: process_parallel_iaf_distances(
+                trace, workers=workers, executor=ex
+            ))
 
     def once():
         with ProcessExecutor(workers=workers) as ex:
@@ -90,13 +110,7 @@ def _child(mode: str, n: int, workers: int) -> float:
                 trace, workers=workers, executor=ex
             )
 
-    once()  # one throwaway round: numpy pools and imports warm
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        once()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return _best_of(once)
 
 
 def measure(n: int, workers: int) -> Dict[str, float]:
@@ -135,8 +149,11 @@ def measure(n: int, workers: int) -> Dict[str, float]:
     return {
         "n": n,
         "workers": workers,
+        "cpu_count": os.cpu_count() or 1,
         "warm_s": warm,
         "fresh_s": fresh,
+        "threads_s": times["threads"],
+        "serial_s": times["serial"],
         # How much a dispatch saves by reusing the pool.
         "overhead_ratio": fresh / warm if warm else float("inf"),
     }
@@ -149,14 +166,19 @@ def write_json(results: Dict[str, float]) -> None:
 def _render(results: Dict[str, float]) -> str:
     from repro.analysis.report import render_table
 
+    warm = results["warm_s"]
     rows = [
-        ["warm pool (persistent)", f"{results['warm_s']:.4f}", "1.00x"],
-        ["fresh executor per call", f"{results['fresh_s']:.4f}",
-         f"{results['overhead_ratio']:.2f}x"],
+        [label, f"{results[key]:.4f}", f"{results[key] / warm:.2f}x"]
+        for label, key in (
+            ("warm pool (persistent)", "warm_s"),
+            ("fresh executor per call", "fresh_s"),
+            ("thread dispatcher", "threads_s"),
+            ("serial engine", "serial_s"),
+        )
     ]
     return render_table(
         f"Process dispatch overhead (n={results['n']:,}, "
-        f"workers={results['workers']})",
+        f"workers={results['workers']}, cpus={results['cpu_count']})",
         ["dispatch path", "per-call (s)", "vs warm"],
         rows,
         note=f"results recorded in {JSON_PATH.name}",

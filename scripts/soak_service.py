@@ -480,7 +480,6 @@ def run_soak(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_batch=16,
         shard_threshold=SHARD_THRESHOLD,
-        shard_workers=2,
     )
     counts = {"completed": 0, "rejected": 0}
     errors: List[str] = []

@@ -164,13 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", type=int, default=2,
                      help="solver threads")
     srv.add_argument("--shard-threshold", type=int, default=1 << 20,
-                     help="traces at least this long are sharded across "
-                          "--shard-workers threads instead of batched")
-    srv.add_argument("--shard-workers", type=int, default=4)
-    srv.add_argument("--shard-processes", action="store_true",
-                     help="solve oversized shards on the persistent "
-                          "shared-memory process pool (process-iaf) "
-                          "instead of threads")
+                     help="iaf traces at least this long run alone on "
+                          "the bounded-memory chunked engine instead of "
+                          "batched")
     srv.add_argument("--default-deadline", type=float, default=None,
                      help="seconds granted to requests that set none")
     srv.add_argument("--metrics", action="store_true",
@@ -190,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="spawn N shard server processes behind a "
                           "consistent-hash routing frontend on "
                           "--host/--port (see docs/CLUSTER.md); shard "
-                          "knobs (--workers, --shard-processes, ...) "
-                          "apply to every shard")
+                          "knobs (--workers, --max-queue, ...) apply to "
+                          "every shard")
 
     return parser
 
@@ -512,8 +508,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         workers=args.workers,
         shard_threshold=args.shard_threshold,
-        shard_workers=args.shard_workers,
-        shard_processes=args.shard_processes,
         default_deadline=args.default_deadline,
     )
     tenants = None
@@ -563,8 +557,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 
     extra: list = ["--max-queue", str(args.max_queue),
                    "--max-batch", str(args.max_batch),
-                   "--shard-threshold", str(args.shard_threshold),
-                   "--shard-workers", str(args.shard_workers)]
+                   "--shard-threshold", str(args.shard_threshold)]
     if args.default_deadline is not None:
         extra += ["--default-deadline", str(args.default_deadline)]
     if args.tenant_budget_mb is not None:
@@ -575,7 +568,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port if args.port is not None else 0,
         workers=args.workers,
-        shard_processes=args.shard_processes,
         extra_args=tuple(extra),
     ) as cluster:
         host, port = cluster.address

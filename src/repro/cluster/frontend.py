@@ -14,7 +14,8 @@ per connection, so the next reply on it *is* that request's).
 Tenant verbs are forwarded on the client connection's own thread, so a
 shard sees one stream's tenant requests in the stream's order.  Solves
 go to a forwarding pool, so a pipelined window of solves reaches the
-shards together and still coalesces there.
+shards together and still coalesces there.  ``{"op": "tenants"}`` goes
+to every live shard and answers with the union of their listings.
 
 Fail-over ladder, in order:
 
@@ -32,7 +33,8 @@ Fail-over ladder, in order:
    their exact key ranges.
 
 Every response gains a ``"shard"`` field naming who answered (or
-``null`` when degraded) so clients and soaks can audit placement.
+``null`` when degraded) so clients and soaks can audit placement; in
+the ring-wide tenants listing each row carries its own ``"shard"``.
 """
 
 from __future__ import annotations
@@ -183,6 +185,8 @@ class ClusterFrontend:
 
     def submit(self, header: Dict[str, Any], payload: Optional[np.ndarray],
                dtype_code: int) -> Any:
+        if header.get("op") == "tenants":
+            return self._list_tenants(header)
         if "op" in header:
             # On the connection's thread: the shard then receives this
             # stream's tenant verbs in the stream's order.
@@ -191,9 +195,6 @@ class ClusterFrontend:
             self._route, header, payload, dtype_code
         )
         return future, _as_is
-
-    def ingest_lease(self, nbytes: int) -> None:
-        return None  # payloads are forwarded, never solved here
 
     def record_protocol_error(self) -> None:
         self._count("ring.protocol_errors")
@@ -226,6 +227,12 @@ class ClusterFrontend:
             raise
         pool.release(client)
         return reply
+
+    def _shard_failed(self, shard: str) -> None:
+        """A forward to ``shard`` failed: route around it from now on."""
+        self._ring.mark_down(shard)
+        self._pools[shard].discard_all()
+        self._count("ring.shard_failures")
 
     def _replay_register(self, tenant: str, shard: str) -> None:
         """Re-home a tenant: replay its register on the new shard."""
@@ -273,9 +280,7 @@ class ClusterFrontend:
                     shard, header, payload, dtype_code
                 )
             except (OSError, ProtocolError):
-                self._ring.mark_down(shard)
-                self._pools[shard].discard_all()
-                self._count("ring.shard_failures")
+                self._shard_failed(shard)
                 continue
             self._note_tenant(header, shard)
             response["shard"] = shard
@@ -284,6 +289,35 @@ class ClusterFrontend:
                 self._count("ring.reroutes")
             return response
         return self._degrade(header, payload)
+
+    def _list_tenants(self, header: Dict[str, Any]) -> Dict[str, Any]:
+        """Every live shard's tenants, each row tagged with its shard.
+
+        A shard whose forward fails is marked down and left out; with no
+        shard answering, the flagged tenant-verb error of
+        :meth:`_degrade` stands.
+        """
+        self._count("ring.requests")
+        rows: List[Dict[str, Any]] = []
+        reply: Optional[Dict[str, Any]] = None
+        for shard in self._ring.live_nodes:
+            try:
+                response = self._forward_once(
+                    shard, header, None, frames.DTYPE_NONE
+                )
+            except (OSError, ProtocolError):
+                self._shard_failed(shard)
+                continue
+            if not response.get("ok"):
+                response["shard"] = shard
+                return response
+            rows.extend(dict(row, shard=shard)
+                        for row in response.get("tenants", ()))
+            reply = response
+        if reply is None:
+            return self._degrade(header, None)
+        reply["tenants"] = sorted(rows, key=lambda row: row["tenant"])
+        return reply
 
     def _degrade(self, header: Dict[str, Any],
                  payload: Optional[np.ndarray]) -> Dict[str, Any]:

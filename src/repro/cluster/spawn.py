@@ -1,9 +1,8 @@
 """Spawn a whole ring: N ``repro serve`` shard processes + a frontend.
 
 :func:`spawn_ring` is the one-call cluster: it forks N shard server
-processes (each its own ``CurveService`` — and, with
-``shard_processes=True``, its own shared-memory ``ProcessExecutor``
-pool), waits for each to report its bound port, serves a
+processes (each its own ``CurveService``), waits for each to report its
+bound port, serves a
 :class:`~repro.cluster.frontend.ClusterFrontend` routing across them
 from a :class:`~repro.service.server.CurveServer` thread, and hands
 back a :class:`ClusterHandle`::
@@ -75,17 +74,14 @@ def _watch_stderr(shard: ShardProcess) -> None:
 
 
 def _spawn_shard(index: int, *, host: str, workers: int,
-                 shard_processes: bool,
                  extra_args: Tuple[str, ...]) -> ShardProcess:
     cmd = [
         sys.executable, "-u", "-m", "repro", "serve",
         "--host", host, "--port", "0",
         "--workers", str(workers),
         "--tenants",
+        *extra_args,
     ]
-    if shard_processes:
-        cmd.append("--shard-processes")
-    cmd.extend(extra_args)
     proc = subprocess.Popen(
         cmd,
         stdin=subprocess.DEVNULL,
@@ -161,7 +157,6 @@ def spawn_ring(
     host: str = "127.0.0.1",
     port: int = 0,
     workers: int = 2,
-    shard_processes: bool = False,
     replicas: int = 64,
     heartbeat_interval: float = 0.5,
     extra_args: Tuple[str, ...] = (),
@@ -180,7 +175,6 @@ def spawn_ring(
         for i in range(n):
             shards.append(_spawn_shard(
                 i, host=host, workers=workers,
-                shard_processes=shard_processes,
                 extra_args=tuple(extra_args),
             ))
         for shard in shards:

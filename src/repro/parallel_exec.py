@@ -189,47 +189,6 @@ class SharedArena:
                 pass
 
 
-class IngestLease:
-    """A caller-owned arena block for zero-copy wire ingest.
-
-    Handed out by :meth:`ProcessExecutor.ingest`; the caller writes raw
-    trace bytes into :meth:`buffer` (e.g. ``rfile.readinto``), views
-    them as an ndarray with :meth:`array`, and must :meth:`release` the
-    block once nothing references that view — the arena slot is reused
-    immediately after.  Context-manager form releases on exit.
-    """
-
-    def __init__(self, executor: "ProcessExecutor", arena: SharedArena,
-                 block: _Block, nbytes: int) -> None:
-        self._executor = executor
-        self._arena = arena
-        self._block = block
-        self.nbytes = nbytes
-        self._released = False
-
-    def buffer(self) -> memoryview:
-        """Writable view over the leased payload bytes."""
-        start = self._block.offset + _HEADER
-        return self._arena._shm.buf[start:start + self.nbytes]
-
-    def array(self, dtype: "np.typing.DTypeLike", count: int) -> np.ndarray:
-        """Zero-copy ndarray over the leased bytes."""
-        return self._arena.view(self._block, dtype, count)
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        with self._executor._alloc_lock:
-            self._executor._release_blocks(self._arena, [self._block])
-
-    def __enter__(self) -> "IngestLease":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
-
-
 def _resolve_array(buf: memoryview,
                    desc: Tuple[int, int, str, int]) -> np.ndarray:
     """Worker side: descriptor → zero-copy view, with generation check."""
@@ -653,41 +612,13 @@ class ProcessExecutor:
                 total += _HEADER + _round_up(arr.nbytes)
         return total + _HEADER + _ALIGN
 
-    # -- zero-copy ingest ------------------------------------------------
-
-    def ingest(self, nbytes: int) -> Optional["IngestLease"]:
-        """Lease an arena block for caller-written bytes (wire ingest).
-
-        The binary protocol server reads bulk trace payloads straight
-        off the socket into the returned lease's buffer — the bytes land
-        in the shared arena once and are never copied into Python-land.
-        Returns ``None`` when the arena cannot host ``nbytes`` (caller
-        falls back to an ordinary heap buffer).  The caller must
-        :meth:`~IngestLease.release` the lease (or use it as a context
-        manager) once the solve holding its view has completed.
-        """
-        if self._closed or nbytes <= 0:
-            return None
-        with self._alloc_lock:
-            block = self._arena.alloc(nbytes)
-            if block is None:
-                if not self._grow_arena(nbytes + _HEADER + _ALIGN):
-                    self._count("exec.ingest_full")
-                    return None
-                block = self._arena.alloc(nbytes)
-                if block is None:  # pragma: no cover - grow guarantees fit
-                    self._count("exec.ingest_full")
-                    return None
-            self._count("exec.ingest")
-            return IngestLease(self, self._arena, block, int(nbytes))
-
-    def _release_blocks(self, arena: SharedArena,
-                        blocks: List[_Block]) -> None:
-        """Free blocks and forget a retired arena that just emptied.
+    def _release(self, job: _Job) -> None:
+        """Free a job's blocks; forget a retired arena that just emptied.
 
         Caller holds ``_alloc_lock``.
         """
-        for block in blocks:
+        arena = job.arena
+        for block in job.blocks:
             arena.free(block)
         if arena is not self._arena and not arena.live_blocks:
             try:
@@ -814,9 +745,6 @@ class ProcessExecutor:
         self._job_seq += 1
         return _Job(self._job_seq, part, arena, blocks, out_block, span,
                     payload)
-
-    def _release(self, job: _Job) -> None:
-        self._release_blocks(job.arena, job.blocks)
 
     def _send(self, job: _Job, engine_backend: str, event: str) -> None:
         with self._lock:

@@ -3,8 +3,10 @@
 Many producers submit :class:`~repro.core.config.SolveConfig` requests;
 the service coalesces compatible ones into single batched engine solves
 (amortizing the per-level vectorized passes and reusing per-worker
-:class:`~repro.core.engine.Workspace` buffers), shards oversized traces
-across a bounded worker pool, and returns futures.
+:class:`~repro.core.engine.Workspace` buffers), runs oversized ``iaf``
+traces alone on the bounded-memory chunked engine, and returns futures.
+A request picks the process pool for itself with
+``algorithm="process-iaf"``; the service never chooses it.
 
 Robustness over raw throughput:
 

@@ -3,9 +3,8 @@
 One dispatcher thread drains the bounded admission queue in ticks.  Each
 tick's requests are *planned*: expired ones fail fast with
 :class:`~repro.errors.DeadlineExceededError`, cancelled ones are
-dropped, oversized ones are rewritten to a bounded-memory
-``chunked-iaf`` solve (or a ``process-iaf`` dispatch to the shared
-process pool), and the remaining batchable requests are grouped by
+dropped, oversized ``iaf`` ones are rewritten to a bounded-memory
+``chunked-iaf`` solve, and the remaining batchable requests are grouped by
 :meth:`~repro.core.config.SolveConfig.batch_key` so each group rides
 **one** coalesced level loop (see
 :func:`repro.core.api.solve_batch`).  Work units run on a small thread
@@ -44,8 +43,8 @@ from ..errors import (
 )
 from ..obs import NULL_SPAN, Counters, get_tracer
 
-#: Default trace length above which a request leaves the batch path and
-#: is sharded across the service's ``shard_workers`` threads instead.
+#: Default trace length from which an ``iaf`` request leaves the batch
+#: path and runs alone on the bounded-memory chunked engine.
 DEFAULT_SHARD_THRESHOLD = 1 << 20
 
 
@@ -98,14 +97,11 @@ class CurveService:
     :meth:`submit` raises :class:`ServiceOverloadedError`); ``max_batch``
     bounds how many requests one dispatch tick plans together, which is
     also the largest possible coalesced batch.  ``default_deadline`` (in
-    seconds) applies to requests submitted without one.  Traces of at
-    least ``shard_threshold`` accesses leave the batch path: by default
-    they run as bounded-memory ``chunked-iaf`` solves (working set
-    O(u + chunk), never O(n) — ``shard_chunk_size`` overrides the chunk
-    length), while ``shard_processes=True`` routes them to the
-    persistent shared-memory process pool (:mod:`repro.parallel_exec`)
-    as ``process-iaf`` solves over ``shard_workers`` processes —
-    one pool per process, shared across services and dispatch ticks.
+    seconds) applies to requests submitted without one.  ``iaf``
+    traces of at least ``shard_threshold`` accesses leave the batch
+    path and run as bounded-memory ``chunked-iaf`` solves at the
+    engine's default chunk (working set O(u + chunk), never O(n)).  A
+    request picks processes for itself with ``algorithm="process-iaf"``.
     """
 
     def __init__(
@@ -115,9 +111,6 @@ class CurveService:
         max_batch: int = 32,
         workers: int = 2,
         shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
-        shard_workers: int = 4,
-        shard_processes: bool = False,
-        shard_chunk_size: Optional[int] = None,
         default_deadline: Optional[float] = None,
         tick_seconds: float = 0.02,
         latency_window: int = 1024,
@@ -128,30 +121,9 @@ class CurveService:
             raise CapacityError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 1:
             raise CapacityError(f"workers must be >= 1, got {workers}")
-        if shard_workers < 1:
-            raise CapacityError(
-                f"shard_workers must be >= 1, got {shard_workers}"
-            )
-        if shard_chunk_size is not None and shard_chunk_size < 1:
-            raise CapacityError(
-                f"shard_chunk_size must be >= 1, got {shard_chunk_size}"
-            )
         self._max_queue = max_queue
         self._max_batch = max_batch
         self._shard_threshold = shard_threshold
-        self._shard_workers = shard_workers
-        self._shard_processes = shard_processes
-        self._shard_chunk_size = shard_chunk_size
-        if shard_processes:
-            # Warm the process pool before traffic arrives: the shared
-            # executor (one per process, reused by every dispatch tick)
-            # forks its workers here, not inside the first oversized
-            # request.  Service close() leaves the pool running — it is
-            # shared with other services and the library's direct
-            # callers; atexit tears it down.
-            from ..parallel_exec import default_executor
-
-            default_executor(shard_workers)
         self._default_deadline = default_deadline
         self._tick = tick_seconds
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=max_queue)
@@ -202,38 +174,11 @@ class CurveService:
         *before* any work is queued, so a rejected request costs the
         producer nothing but the validation.
         """
-        if self._closing.is_set():
-            raise ServiceClosedError(
-                "service is closed; no new requests accepted"
-            )
         cfg = config if config is not None else SolveConfig()
         arr = as_trace(
             trace, dtype=DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype
         )
-        if deadline is None:
-            deadline = self._default_deadline
-        now = time.monotonic()
-        future = SolveFuture(config=cfg, label=label)
-        req = _Request(
-            future=future, arr=arr, config=cfg, submitted_at=now,
-            deadline=None if deadline is None else now + deadline,
-            label=label,
-        )
-        try:
-            self._queue.put_nowait(req)
-        except queue.Full:
-            with self._lock:
-                self.counters.add("service.rejected")
-            raise ServiceOverloadedError(
-                f"admission queue full ({self._max_queue} pending); "
-                f"retry later or raise max_queue"
-            ) from None
-        with self._lock:
-            self.counters.add("service.submitted")
-            self.counters.peak(
-                "service.queue_depth_peak", self._queue.qsize()
-            )
-        return future
+        return self._admit(arr, cfg, deadline, label)
 
     def submit_work(
         self,
@@ -252,6 +197,18 @@ class CurveService:
         builds ingest on; it is not a general thread-pool replacement
         (units still occupy the same in-flight slots as solves).
         """
+        return self._admit(np.zeros(0, dtype=np.int64), SolveConfig(),
+                           deadline, label, work=fn)
+
+    def _admit(
+        self,
+        arr: np.ndarray,
+        cfg: SolveConfig,
+        deadline: Optional[float],
+        label: str,
+        work: Optional[Callable[[], object]] = None,
+    ) -> SolveFuture:
+        """Queue one request, or reject it before anything is queued."""
         if self._closing.is_set():
             raise ServiceClosedError(
                 "service is closed; no new requests accepted"
@@ -259,13 +216,11 @@ class CurveService:
         if deadline is None:
             deadline = self._default_deadline
         now = time.monotonic()
-        cfg = SolveConfig()
         future = SolveFuture(config=cfg, label=label)
         req = _Request(
-            future=future, arr=np.zeros(0, dtype=np.int64), config=cfg,
-            submitted_at=now,
+            future=future, arr=arr, config=cfg, submitted_at=now,
             deadline=None if deadline is None else now + deadline,
-            label=label, work=fn,
+            label=label, work=work,
         )
         try:
             self._queue.put_nowait(req)
@@ -278,7 +233,8 @@ class CurveService:
             ) from None
         with self._lock:
             self.counters.add("service.submitted")
-            self.counters.add("service.work_units")
+            if work is not None:
+                self.counters.add("service.work_units")
             self.counters.peak(
                 "service.queue_depth_peak", self._queue.qsize()
             )
@@ -339,26 +295,6 @@ class CurveService:
         """
         with self._lock:
             self.counters.add("service.protocol_errors")
-
-    def ingest_lease(self, nbytes: int):
-        """Lease a shared-arena block for zero-copy wire ingest, or None.
-
-        Only meaningful when this service routes oversized solves to the
-        process pool (``shard_processes=True``): the binary protocol
-        server writes bulk trace bytes straight into the lease so the
-        eventual ``process-iaf`` dispatch reads them from the arena they
-        already live in.  Returns ``None`` whenever the pool (or shared
-        memory itself) is unavailable — callers fall back to a heap
-        buffer and lose nothing but the copy.
-        """
-        if not self._shard_processes:
-            return None
-        from ..parallel_exec import default_executor
-
-        executor = default_executor(self._shard_workers)
-        if executor is None:
-            return None
-        return executor.ingest(nbytes)
 
     def metrics(self) -> Dict[str, float]:
         """Counter snapshot plus queue depth and latency percentiles."""
@@ -517,21 +453,13 @@ class CurveService:
     def _run_single(self, req: _Request, shard: bool = False) -> None:
         cfg = req.config
         if shard:
-            if self._shard_processes:
-                cfg = cfg.replace(
-                    algorithm="process-iaf", workers=self._shard_workers,
-                    workspace=None,
-                )
-            else:
-                # Bounded-memory shard: the chunked incremental engine
-                # keeps the working set at O(u + chunk) regardless of
-                # trace length, so one oversized request cannot blow the
-                # service's memory the way a full-trace solve would.
-                cfg = cfg.replace(
-                    algorithm="chunked-iaf",
-                    chunk_size=self._shard_chunk_size,
-                    workspace=None,
-                )
+            # Bounded-memory shard: the chunked incremental engine keeps
+            # the working set at O(u + chunk) regardless of trace
+            # length, so one oversized request cannot blow the service's
+            # memory the way a full-trace solve would.
+            cfg = cfg.replace(
+                algorithm="chunked-iaf", chunk_size=None, workspace=None,
+            )
             with self._lock:
                 self.counters.add("service.sharded")
         else:

@@ -4,8 +4,7 @@ The JSON line protocol re-encodes every access as decimal text — a
 1M-access trace costs ~7 MB of JSON and a parse per digit.  The binary
 framing ships the same request as a small JSON *header* (everything
 except the trace) plus the trace as raw little-endian int32/int64 bytes
-that can be handed to :func:`numpy.frombuffer` — or written straight
-into the process executor's shared-memory arena — without ever becoming
+that can be handed to :func:`numpy.frombuffer` without ever becoming
 Python objects.
 
 Every frame is::
@@ -149,8 +148,8 @@ def read_frame_header(
 
     Returns ``(frame_type, dtype_code, header_obj, payload_len,
     elem_size)`` — the caller reads ``payload_len`` payload bytes into
-    whatever buffer it wants (a fresh ndarray, the shared arena) — or
-    ``None`` on clean EOF.  Raises :class:`ProtocolError` on garbage.
+    a buffer of its choosing — or ``None`` on clean EOF.  Raises
+    :class:`ProtocolError` on garbage.
     """
     raw = _read_exact(rfile, HEADER_SIZE, "frame header")
     if not raw:
@@ -205,7 +204,8 @@ def read_frame(
     Returns ``(frame_type, header, payload_array_or_None)`` or ``None``
     on clean EOF.  The convenience path for clients and tests; the
     server's ingest loop uses :func:`read_frame_header` +
-    :func:`read_payload_into` so bulk bytes can land in the arena.
+    :func:`read_payload_into` so bulk bytes are read into one buffer
+    without an intermediate ``bytes`` object.
     """
     parsed = read_frame_header(rfile)
     if parsed is None:
@@ -224,9 +224,8 @@ def read_payload_into(
     """Read exactly ``payload_len`` payload bytes into ``buf``.
 
     ``buf`` must be a writable memoryview of at least ``payload_len``
-    bytes (e.g. a view over the shared arena block) — the bytes go from
-    the socket into their final resting place with no intermediate
-    copies.
+    bytes — the bytes go from the socket into their final resting place
+    with no intermediate copies.
     """
     view = buf[:payload_len]
     got = 0

@@ -16,11 +16,11 @@ same :class:`_Stream`, which passes it to the server's **backend**:
   :class:`~repro.client.CurveClient` connections.
 
 A request's path: the client encodes it; the connection thread decodes
-it (a bulk v2 payload lands in a shared-memory arena block when the
-service has a process pool); the backend queues it in the service, or
-forwards it to a shard, where the same path repeats; the reply goes back
-through the stream that took the request.  :func:`serve_stream` runs
-the line protocol over stdin (EOF drains and exits).
+it (a v2 payload lands in its own heap buffer); the backend queues it in
+the service, or forwards it to a shard, where the same path repeats; the
+reply goes back through the stream that took the request.
+:func:`serve_stream` runs the line protocol over stdin (EOF drains and
+exits).
 
 One request per line, one JSON response per line.  A request is either a
 bare path to a REPROTRC trace file::
@@ -105,9 +105,6 @@ _SYNC_OPS = frozenset(("register", "evict", "tenants"))
 #: Longest v1 request line: a client may ship a whole trace as one
 #: inline-JSON line, but no line may pin more memory than this.
 MAX_LINE_LEN = 1 << 30
-
-#: v2 payloads at least this large try the shared-arena ingest path.
-ARENA_INGEST_MIN = 1 << 16
 
 #: Frame dtype code → the dtype scalar ``SolveConfig`` speaks.
 _CONFIG_DTYPE = {frames.DTYPE_INT32: np.int32, frames.DTYPE_INT64: np.int64}
@@ -235,12 +232,7 @@ def handle_tenant_request(
         raise ReproError(
             f"unknown op {op!r}; one of {sorted(_TENANT_OPS)}"
         )
-    unknown = set(obj) - _TENANT_OPS[op]
-    if unknown:
-        raise ReproError(
-            f"unknown field(s) {sorted(unknown)} for op {op!r}; "
-            f"allowed: {sorted(_TENANT_OPS[op])}"
-        )
+    schema.validate_fields(obj, _TENANT_OPS[op], f"op {op!r}")
     req_id = obj.get("id")
     if op == "tenants":
         return ({"id": req_id, "ok": True, "op": op,
@@ -350,9 +342,6 @@ class LocalBackend:
             binary_ok=binary_ok,
         )
 
-    def ingest_lease(self, nbytes: int) -> Any:
-        return self.service.ingest_lease(nbytes)
-
     def record_protocol_error(self) -> None:
         self.service.record_protocol_error()
 
@@ -379,8 +368,7 @@ class LocalBackend:
         )
         if payload is not None:
             if "dtype" not in obj:
-                # Solve in the payload's own dtype so an arena view is
-                # used as-is (no widening copy).
+                # Solve in the payload's own dtype: no widening copy.
                 cfg = cfg.replace(dtype=_CONFIG_DTYPE[dtype_code])
             trace = payload
         elif isinstance(trace, str):
@@ -458,13 +446,8 @@ class _Stream:
         obj: Dict[str, Any],
         payload: Optional[np.ndarray] = None,
         dtype_code: int = frames.DTYPE_NONE,
-        lease: Any = None,
     ) -> None:
-        """Hand one request to the backend; its reply follows.
-
-        ``lease`` (an arena block holding ``payload``) is released once
-        the request is answered.
-        """
+        """Hand one request to the backend; its reply follows."""
         req_id = obj.get("id")
         try:
             if obj.get("op") in _SYNC_OPS:
@@ -473,8 +456,6 @@ class _Stream:
         except Exception as exc:  # noqa: BLE001 — answered on the stream
             answer = _error_payload(req_id, exc)
         if isinstance(answer, dict):
-            if lease is not None:
-                lease.release()
             self.send(answer)
             return
         future, formatter = answer
@@ -489,8 +470,6 @@ class _Stream:
                     reply = _error_payload(req_id, exc)
                 self.send(reply)
             finally:
-                if lease is not None:
-                    lease.release()
                 with self._answered:
                     self._owed -= 1
                     self._answered.notify_all()
@@ -533,37 +512,18 @@ def _serve_lines(lines: Iterable[Any], stream: _Stream, *,
 
 
 def _read_payload(
-    rfile: BinaryIO,
-    backend: Any,
-    dtype_code: int,
-    payload_len: int,
-    elem_size: int,
-) -> Tuple[Optional[np.ndarray], Optional[Any]]:
-    """Read ``payload_len`` trace bytes; returns ``(array, lease)``.
+    rfile: BinaryIO, dtype_code: int, payload_len: int
+) -> Optional[np.ndarray]:
+    """Read ``payload_len`` trace bytes into a buffer of their own.
 
-    Payloads of at least :data:`ARENA_INGEST_MIN` bytes go straight
-    into a shared-arena block when ``backend.ingest_lease`` (a
-    :class:`CurveService` or a backend) grants one; the lease is then
-    non-None and the caller releases it once the request holding the
-    view is answered.  Everything else lands in a heap buffer.
+    The returned array owns its bytes for as long as anything holds it:
+    a tenant's chunked engine may keep views of a push past its reply.
     """
     if not payload_len:
-        return None, None
-    count = payload_len // elem_size
-    dt = frames.DTYPE_BY_CODE[dtype_code]
-    lease = None
-    if payload_len >= ARENA_INGEST_MIN:
-        lease = backend.ingest_lease(payload_len)
-    if lease is not None:
-        try:
-            frames.read_payload_into(rfile, lease.buffer(), payload_len)
-        except Exception:
-            lease.release()
-            raise
-        return lease.array(dt, count), lease
+        return None
     buf = bytearray(payload_len)
     frames.read_payload_into(rfile, memoryview(buf), payload_len)
-    return np.frombuffer(buf, dtype=dt), None
+    return np.frombuffer(buf, dtype=frames.DTYPE_BY_CODE[dtype_code])
 
 
 def _serve_frames(rfile: BinaryIO, stream: _Stream) -> None:
@@ -577,20 +537,16 @@ def _serve_frames(rfile: BinaryIO, stream: _Stream) -> None:
             parsed = frames.read_frame_header(rfile)
             if parsed is None:
                 break
-            frame_type, dtype_code, obj, payload_len, elem_size = parsed
+            frame_type, dtype_code, obj, payload_len, _ = parsed
             if frame_type != frames.FRAME_REQUEST:
                 raise ProtocolError(
                     f"expected a request frame, got type {frame_type}"
                 )
-            payload, lease = _read_payload(
-                rfile, stream.backend, dtype_code, payload_len, elem_size
-            )
+            payload = _read_payload(rfile, dtype_code, payload_len)
             if obj.get("op") == schema.HELLO_OP:
-                if lease is not None:
-                    lease.release()
                 stream.hello(obj, binary_ok=True, upgraded=True)
                 continue
-            stream.dispatch(obj, payload, dtype_code, lease)
+            stream.dispatch(obj, payload, dtype_code)
     except ProtocolError as exc:
         stream.protocol_error(exc)
     finally:
@@ -691,9 +647,7 @@ class CurveServer(socketserver.ThreadingTCPServer):
     :class:`~repro.cluster.ClusterFrontend`, which routes to a ring of
     shard servers.  A backend provides ``hello(req_id, *, binary_ok)``
     (the advertisement), ``submit(obj, payload, dtype_code)`` (a reply
-    dict, or ``(future, formatter)``), ``ingest_lease(nbytes)`` (an
-    arena block for a bulk payload, or None) and
-    ``record_protocol_error()``.
+    dict, or ``(future, formatter)``) and ``record_protocol_error()``.
     """
 
     allow_reuse_address = True

@@ -119,6 +119,18 @@ class TestRingDifferential:
             np.concatenate([trace] * 4))
         assert curve["hit_rates"]["8"] == direct.hit_rate(8)
 
+    def test_tenants_lists_every_shard(self):
+        names = [f"t{i}" for i in range(8)]
+        with in_process_ring(2) as (host, port):
+            with CurveClient(host, port) as client:
+                homes = {name: client.register(name)["shard"]
+                         for name in names}
+                listing = client.tenants()
+        rows = listing["tenants"]
+        assert [row["tenant"] for row in rows] == names
+        assert {row["tenant"]: row["shard"] for row in rows} == homes
+        assert len(set(homes.values())) == 2
+
     def test_requests_spread_across_shards(self, rng):
         with in_process_ring(3) as (host, port):
             with CurveClient(host, port) as client:
@@ -199,6 +211,25 @@ class TestShardKill:
                 assert raw["degraded"] is True
 
             assert cluster.metrics()["ring.degraded"] >= 2
+
+    def test_tenants_listing_skips_a_killed_shard(self):
+        with spawn_ring(2, heartbeat_interval=10.0) as cluster:
+            with CurveClient(*cluster.address) as client:
+                homes = {f"t{i}": client.register(f"t{i}")["shard"]
+                         for i in range(8)}
+                dead = cluster.shards[0].name
+                cluster.kill_shard(0)
+                rows = client.tenants()["tenants"]
+                metrics = cluster.metrics()
+                cluster.kill_shard(1)
+                gone = client.tenants(check=False)
+        assert {row["tenant"]: row["shard"] for row in rows} == {
+            name: shard for name, shard in homes.items() if shard != dead}
+        assert metrics["ring.shard_failures"] >= 1
+        assert metrics["ring.live_shards"] == 1.0
+        assert gone["ok"] is False
+        assert gone["degraded"] is True
+        assert gone["error"] == "ServiceUnavailable"
 
 
 class TestSpawnSmoke:

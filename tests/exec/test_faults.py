@@ -122,20 +122,20 @@ class TestKillPlan:
         assert plan.events == []
 
     def test_service_sharding_survives_worker_kills(self):
-        """The soak scenario: a service routing oversized requests to the
-        process pool loses a worker mid-solve and still answers."""
+        """The soak scenario: a service running a process-iaf request on
+        the process pool loses a worker mid-solve and still answers."""
+        from repro import SolveConfig
         from repro.core.engine import iaf_hit_rate_curve
         from repro.parallel_exec import shutdown_default_executor
         from repro.service import CurveService
 
         shutdown_default_executor()
         trace = np.random.default_rng(9).integers(0, 400, size=6000)
+        cfg = SolveConfig(algorithm="process-iaf", workers=2)
         try:
-            with CurveService(workers=1, shard_threshold=1000,
-                              shard_workers=2,
-                              shard_processes=True) as svc:
+            with CurveService(workers=1, shard_threshold=1000) as svc:
                 with inject_worker_kills(kills=1) as plan:
-                    result = svc.submit(trace).result(timeout=120)
+                    result = svc.submit(trace, cfg).result(timeout=120)
             assert plan.events, "fault hook never fired"
             assert np.array_equal(
                 result.curve.hits_cumulative,

@@ -301,18 +301,21 @@ class TestLifecycle:
 
 class TestServiceIntegration:
     def test_sharded_process_requests_share_the_pool(self):
+        """Per-request process-iaf solves above the shard threshold run
+        as asked, on the one shared pool, which outlives the service."""
+        from repro import SolveConfig
         from repro.service import CurveService
 
         shutdown_default_executor()
         trace = np.random.default_rng(5).integers(0, 500, size=5000)
+        cfg = SolveConfig(algorithm="process-iaf", workers=2)
         try:
-            with CurveService(workers=1, shard_threshold=1000,
-                              shard_workers=2,
-                              shard_processes=True) as svc:
+            with CurveService(workers=1, shard_threshold=1000) as svc:
                 ex = default_executor(2)
                 pids = ex.worker_pids()
-                r1 = svc.submit(trace).result(timeout=120)
-                r2 = svc.submit(trace[::-1].copy()).result(timeout=120)
+                r1 = svc.submit(trace, cfg).result(timeout=120)
+                r2 = svc.submit(trace[::-1].copy(), cfg).result(
+                    timeout=120)
                 assert ex.worker_pids() == pids
             assert r1.config.algorithm == "process-iaf"
             assert np.array_equal(

@@ -1,4 +1,4 @@
-"""The v2 binary framed protocol: frames, server loop, arena ingest."""
+"""The v2 binary framed protocol: frames and the server loop."""
 
 import io
 
@@ -8,7 +8,6 @@ import pytest
 from repro.core.engine import iaf_hit_rate_curve
 from repro.errors import ProtocolError
 from repro.service import CurveService, serve_binary
-from repro.service import server as server_mod
 from repro.service import frames
 
 
@@ -160,44 +159,3 @@ class TestServeBinary:
         assert by_id["p"]["ingested"] == 1000
         direct = iaf_hit_rate_curve(trace)
         assert by_id["c"]["hit_rates"]["16"] == direct.hit_rate(16)
-
-
-class TestArenaIngest:
-    def test_large_payload_rides_the_shared_arena(self, rng):
-        """Bulk bytes land in (and are released from) the arena."""
-        from repro.parallel_exec import default_executor
-
-        executor = default_executor(2)
-        if executor is None:
-            pytest.skip("shared-memory executor unavailable")
-        n = server_mod.ARENA_INGEST_MIN // 8 + 1024
-        trace = rng.integers(0, 1000, size=n).astype(np.int64)
-        req = frames.encode_frame(
-            frames.FRAME_REQUEST, {"id": "big", "sizes": [64]},
-            trace.tobytes(), frames.DTYPE_INT64,
-        )
-        with CurveService(workers=1, shard_processes=True) as svc:
-            lease = svc.ingest_lease(128 * 1024)
-            assert lease is not None
-            lease.release()
-            failures, responses = run_frames([req], svc)
-        assert failures == 0
-        direct = iaf_hit_rate_curve(trace)
-        assert responses[0]["hit_rates"]["64"] == direct.hit_rate(64)
-        # Every leased block must be back in the free list.
-        assert executor._arena.live_blocks == 0
-
-    def test_ingest_lease_views_written_bytes(self, rng):
-        from repro.parallel_exec import default_executor
-
-        executor = default_executor(2)
-        if executor is None:
-            pytest.skip("shared-memory executor unavailable")
-        arr = rng.integers(0, 9999, size=4096).astype(np.int64)
-        lease = executor.ingest(arr.nbytes)
-        assert lease is not None
-        with lease:
-            lease.buffer()[:] = arr.tobytes()
-            view = lease.array(np.int64, arr.size)
-            np.testing.assert_array_equal(view, arr)
-        assert executor._arena.live_blocks == 0

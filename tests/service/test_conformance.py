@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.client import CurveClient
+from repro.core.api import solve
 from repro.core.engine import iaf_hit_rate_curve
+from repro.parallel_exec import shutdown_default_executor
 from repro.service import CurveService, frames, serve_tcp
 from repro.service import server as server_mod
 from repro.tenants import TenantService
@@ -175,6 +177,19 @@ class TestRequests:
         assert reply["hit_rates"] == {"8": direct.hit_rate(8),
                                       "32": direct.hit_rate(32)}
 
+    def test_process_iaf_is_chosen_per_request(self, deployment, rng):
+        trace = rng.integers(0, 500, size=5000).astype(np.int64)
+        try:
+            with CurveClient(*deployment.address) as client:
+                reply = client.solve(trace, sizes=[8, 64],
+                                     algorithm="process-iaf", workers=2)
+        finally:
+            shutdown_default_executor()
+        direct = iaf_hit_rate_curve(trace)
+        assert reply["algorithm"] == "process-iaf"
+        assert reply["hit_rates"] == {"8": direct.hit_rate(8),
+                                      "64": direct.hit_rate(64)}
+
     def test_bad_magic_answered_once_then_closed(self, deployment):
         good = frames.encode_frame(frames.FRAME_REQUEST,
                                    {"id": "ok", "trace": [1, 2]})
@@ -221,6 +236,28 @@ class TestRequests:
                 assert replies["c"]["hit_rates"] == {
                     str(k): direct.hit_rate(k) for k in sizes}, round_
                 assert replies["e"]["evicted"] is True, round_
+
+    def test_bulk_pushes_keep_their_bytes(self, deployment):
+        """Six 80 000-byte pushes, each under one chunk, then one curve.
+
+        The tenant's chunked engine keeps the pending accesses of every
+        push until its chunk fills, past each push's reply, so every
+        payload must own its bytes.
+        """
+        rng = np.random.default_rng(3)
+        pushes = [rng.integers(0, 4096, size=10_000).astype(np.int64)
+                  for _ in range(6)]
+        sizes = [16, 256, 1024, 4096]
+        with CurveClient(*deployment.address) as client:
+            assert client.binary
+            client.register("bulk")
+            for trace in pushes:
+                assert client.push("bulk", trace)["ingested"] == 10_000
+            reply = client.curve("bulk", sizes=sizes)
+        direct = solve(np.concatenate(pushes)).curve
+        assert reply["total_accesses"] == 60_000
+        assert reply["hit_rates"] == {str(k): direct.hit_rate(k)
+                                      for k in sizes}
 
     def test_over_cap_reply_is_a_typed_error(self, deployment):
         """A curve reply over the 1 MiB frame-header cap answers with an

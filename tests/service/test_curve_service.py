@@ -79,8 +79,7 @@ class TestDifferential:
 
     def test_sharded_oversize_matches_direct(self):
         trace = np.random.default_rng(5).integers(0, 500, size=5000)
-        with CurveService(workers=1, shard_threshold=1000,
-                          shard_workers=2) as svc:
+        with CurveService(workers=1, shard_threshold=1000) as svc:
             result = svc.submit(trace).result(timeout=60)
         assert np.array_equal(result.curve.hits_cumulative,
                               iaf_hit_rate_curve(trace).hits_cumulative)
@@ -268,7 +267,6 @@ class TestLifecycle:
     def test_constructor_validation(self):
         for bad in (
             dict(max_queue=0), dict(max_batch=0), dict(workers=0),
-            dict(shard_workers=0),
         ):
             with pytest.raises(CapacityError):
                 CurveService(**bad)
