@@ -20,7 +20,11 @@ evaluation (see DESIGN.md's experiment index).  Conventions:
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import os
+import platform
+import subprocess
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -35,6 +39,7 @@ from repro.metrics.memory import MemoryModel
 from repro.workloads.catalog import DISTRIBUTIONS, SIZES, get_workload
 
 RESULTS_DIR = Path(__file__).parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Result files already written by this process: the first write of a
 #: session replaces the file, later writes append.  (Truncating at
@@ -105,6 +110,36 @@ def run_system(
     else:
         raise ValueError(f"unknown system {system!r}")
     return curve, memory, stats
+
+
+def provenance() -> Dict[str, object]:
+    """The conditions every ``BENCH_*.json`` records under ``provenance``.
+
+    The same fields ``perfbench`` prints: the checkout's commit, the core
+    count, whether numba is installed, the numpy and Python versions,
+    and a sha256 over every ``src/repro`` source file (which also tells
+    an uncommitted tree from its commit).
+    """
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    src = ROOT / "src" / "repro"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode())
+        digest.update(path.read_bytes())
+    return {
+        "commit": commit,
+        "nproc": os.cpu_count(),
+        "numba": importlib.util.find_spec("numba") is not None,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "src_sha256": digest.hexdigest(),
+    }
 
 
 def write_result(name: str, text: str) -> None:

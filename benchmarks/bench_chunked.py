@@ -87,8 +87,8 @@ def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
         engine = ChunkedIAF(chunk)
         for batch in _push_stream(n):
             engine.push(batch)
-        curve = engine.finalize()
-        state = engine.state_nbytes  # living carry (+ empty pending)
+        curve = engine.curve()
+        state = engine.state_nbytes  # living carry + running curve
     seconds = time.perf_counter() - t0
     return {
         "rss_kb": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
@@ -175,7 +175,10 @@ def verify(results: Dict[str, object]) -> List[str]:
 
 
 def write_json(results: Dict[str, object]) -> None:
-    JSON_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    from _common import provenance
+
+    record = dict(results, provenance=provenance())
+    JSON_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _render(results: Dict[str, object]) -> str:

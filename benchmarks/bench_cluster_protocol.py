@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import socket
 import statistics
 import sys
@@ -45,6 +44,7 @@ from typing import Dict
 
 import numpy as np
 
+from _common import provenance
 from repro.client import CurveClient
 from repro.service import CurveService, frames, serve_tcp
 from repro.service.server import _read_payload, parse_request_obj
@@ -164,7 +164,7 @@ def main() -> int:
         # endpoints competing for the same cores.
         "cpu_count": os.cpu_count() or 1,
         "single_host_loopback": True,
-        "python": platform.python_version(),
+        "provenance": provenance(),
     }
     JSON_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
                          + "\n")

@@ -289,7 +289,10 @@ def run_all(n: int) -> Dict[str, Dict[str, float]]:
 
 
 def write_json(results: Dict[str, Dict[str, float]]) -> None:
-    JSON_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    from _common import provenance
+
+    record = dict(results, provenance=provenance())
+    JSON_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _render(results: Dict[str, Dict[str, float]]) -> str:

@@ -76,7 +76,7 @@ from .core import (
 from .errors import ReproError
 from .obs import Counters, Tracer, get_tracer, tracing
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ALGORITHMS",

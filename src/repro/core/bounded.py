@@ -142,9 +142,10 @@ def bounded_iaf(
         memory=memory, engine_backend=engine_backend,
         span_name="bounded.chunk",
     )
-    engine.push(arr)
-    engine.flush()
-    windows = engine.windows
+    windows = engine.push(arr)
+    last = engine.flush()
+    if last is not None:
+        windows.append(last)
     bounds = [(start, min(start + chunk_len, n))
               for start in range(0, n, chunk_len)]
     return BoundedResult(

@@ -22,18 +22,19 @@ with the truncation bound removed.  BOUNDED-IAF's ``Q̄`` suffix is the
 
 Consequences:
 
-* ``ChunkedIAF.finalize()`` is **bit-identical** to
+* ``ChunkedIAF.curve()`` is **bit-identical** to
   :func:`repro.core.engine.iaf_hit_rate_curve` for *every* chunk size —
-  the per-window forward-distance histograms partition the full trace's
-  backward-distance histogram.
+  the per-chunk histograms partition the full trace's, so each solved
+  chunk folds into one running curve.  A query commits the pending
+  partial chunk as a chunk of its own: every access is solved once.
 * Steady-state memory is O(u + chunk): the living carry, the pending
-  buffer, and one chunk solve's engine state.  Nothing grows with n.
+  buffer, the running curve and one chunk solve.  Nothing grows with n.
 * With ``max_cache_size=k`` the carry is truncated to the ``k`` most
-  recent living requests and windows come out ``truncated_at=k`` —
-  the BOUNDED-IAF chunk loop itself: serial
+  recent living requests and chunk curves come out ``truncated_at=k``
+  — the BOUNDED-IAF chunk loop itself: serial
   :func:`repro.core.bounded.bounded_iaf` and
   :class:`repro.core.streaming.OnlineCurveAnalyzer` both run on this
-  engine in that mode.
+  engine in that mode, keeping the chunk curves ``push``/``flush`` return.
 
 See docs/STREAMING.md for the architecture write-up.
 """
@@ -41,7 +42,7 @@ See docs/STREAMING.md for the architecture write-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
 from .engine import EngineStats, Workspace, iaf_distances, \
     resolve_engine_backend
-from .hitrate import HitRateCurve, curve_from_forward_distances, merge_curves
+from .hitrate import HitRateCurve, curve_from_forward_distances
 from .prevnext import last_access_carryover, prev_next_arrays
 
 #: Default accesses per chunk for the exact (untruncated) mode.  Large
@@ -80,14 +81,27 @@ def _restate_truncation(curve: HitRateCurve, k: int) -> HitRateCurve:
     )
 
 
+def add_curves(
+    total: Optional[HitRateCurve], piece: HitRateCurve
+) -> HitRateCurve:
+    """``total + piece`` for two disjoint stretches of one stream, at the
+    smaller truncation bound if they differ (a ``k`` grown in between)."""
+    if total is None:
+        return piece
+    if total.truncated_at == piece.truncated_at:
+        return total.merge(piece)
+    k = min(total.truncated_at, piece.truncated_at)
+    return _restate_truncation(total, k).merge(_restate_truncation(piece, k))
+
+
 class ChunkedIAF:
     """Incremental IAF over a pushed stream, with living-request carry.
 
     ``max_cache_size=None`` (the default) is the exact mode: the carry
-    holds *all* living requests and :meth:`finalize` reproduces the
-    batch engine's full curve bit for bit.  ``max_cache_size=k``
-    truncates the carry to the ``k`` most recent living requests and
-    produces ``truncated_at=k`` windows — the BOUNDED-IAF regime.
+    holds *all* living requests and :meth:`curve` reproduces the batch
+    engine's full curve bit for bit.  ``max_cache_size=k`` truncates the
+    carry to the ``k`` most recent living requests and solves chunks
+    into ``truncated_at=k`` curves — the BOUNDED-IAF regime.
 
     ``workspace`` is an optional fused-kernel
     :class:`~repro.core.engine.Workspace` shared across the per-chunk
@@ -131,10 +145,10 @@ class ChunkedIAF:
         self._living_last = np.zeros(0, dtype=np.int64)
         self._pending: List[np.ndarray] = []
         self._pending_len = 0
-        self._windows: List[HitRateCurve] = []
+        self._curve: Optional[HitRateCurve] = None
+        self._solves = 0
         self._accesses = 0
         self._processed = 0
-        self._preview: Optional[HitRateCurve] = None
 
     # -- introspection ------------------------------------------------------
 
@@ -153,7 +167,7 @@ class ChunkedIAF:
 
     @property
     def accesses_processed(self) -> int:
-        """Accesses already committed into windows (excludes pending)."""
+        """Accesses already solved into the curve (excludes pending)."""
         return self._processed
 
     @property
@@ -171,55 +185,42 @@ class ChunkedIAF:
         return int(self._living_addrs.size)
 
     @property
-    def windows(self) -> List[HitRateCurve]:
-        """Curves of completed chunks, in stream order."""
-        return list(self._windows)
-
-    @property
     def state_nbytes(self) -> int:
-        """Bytes of carried state: living map + pending buffer.
+        """Bytes of carried state: living map, pending buffer and curve.
 
         This is the quantity that plateaus at O(u + chunk) — the soak
         benchmark charts it (plus process RSS) against the batch
-        engine's O(n) footprint.
+        engine's O(n) footprint, and the tenant budget charges it.
         """
-        pending = sum(int(a.nbytes) for a in self._pending)
-        return (
-            int(self._living_addrs.nbytes)
-            + int(self._living_last.nbytes)
-            + pending
-        )
+        held = [self._living_addrs, self._living_last, *self._pending]
+        if self._curve is not None:
+            held.append(self._curve.hits_cumulative)
+        return sum(int(a.nbytes) for a in held)
 
     # -- ingestion ----------------------------------------------------------
 
-    def push(self, accesses: TraceLike) -> int:
-        """Ingest a batch of accesses; returns chunks completed by it.
-
-        Input is validated exactly like the offline entry points (via
-        :func:`repro._typing.as_trace`).
-        """
+    def push(self, accesses: TraceLike) -> List[HitRateCurve]:
+        """Ingest a batch of accesses; returns the curves of the chunks it
+        completed.  Input is validated like the offline entry points."""
         arr = np.atleast_1d(np.asarray(accesses))
         arr = as_trace(arr, dtype=self._dtype)
-        if arr.size:
-            self._preview = None
         self._accesses += int(arr.size)
-        completed = 0
+        solved: List[HitRateCurve] = []
         while arr.size:
             room = self._chunk_size - self._pending_len
             take, arr = arr[:room], arr[room:]
             self._pending.append(take)
             self._pending_len += int(take.size)
             if self._pending_len == self._chunk_size:
-                self._process_pending()
-                completed += 1
-        return completed
+                solved.append(self._process_pending())
+        return solved
 
-    def flush(self) -> bool:
-        """Process a partial chunk now (window boundary); True if any."""
+    def flush(self) -> Optional[HitRateCurve]:
+        """Solve a partial chunk now; returns its curve, or ``None`` when
+        nothing is pending."""
         if self._pending_len == 0:
-            return False
-        self._process_pending()
-        return True
+            return None
+        return self._process_pending()
 
     def seed_carry(
         self,
@@ -238,9 +239,9 @@ class ChunkedIAF:
         least-recent first, the engine's own carry order) with every
         position below ``processed``, the number of accesses the carry
         summarizes.  Only a pristine engine may be seeded — accepting a
-        foreign carry after pushes would corrupt window accounting.
+        foreign carry after pushes would corrupt the running curve.
         """
-        if self._accesses or self._windows or self._pending_len:
+        if self._accesses:
             raise ReproError(
                 "seed_carry requires a pristine engine (nothing pushed)"
             )
@@ -276,7 +277,8 @@ class ChunkedIAF:
         self._processed = int(processed)
         # The carry summarizes `processed` historical accesses; count them
         # as ingested so accesses_ingested >= accesses_processed holds.
-        # They are NOT in any window — the predecessor's curve covers them.
+        # They are NOT in this engine's curve — the predecessor's covers
+        # them.
         self._accesses = int(processed)
 
     def reconfigure(
@@ -287,11 +289,12 @@ class ChunkedIAF:
     ) -> None:
         """Adjust the chunk length and/or grow the truncation bound.
 
-        The pending buffer and completed windows are untouched; a larger
+        The pending buffer and the running curve are untouched; a larger
         chunk simply means more room before the next boundary.  The
         truncation bound can only grow (shrinking would claim knowledge
-        about sizes the carry already discarded) — past windows keep
-        their old bound, the living carry just stops truncating as hard.
+        about sizes the carry already discarded) — the running curve
+        keeps its old bound, the living carry just stops truncating as
+        hard.
         """
         if chunk_size is not None:
             if chunk_size < 1:
@@ -303,9 +306,10 @@ class ChunkedIAF:
             if self._k is None or max_cache_size < self._k:
                 raise CapacityError("k can only grow, never shrink")
             self._k = int(max_cache_size)
-        self._preview = None
 
-    def _process_pending(self) -> None:
+    def _process_pending(self) -> HitRateCurve:
+        """Solve the pending accesses as one chunk, advance the carry and
+        fold the chunk's curve into the running one; returns it."""
         chunk = (
             np.concatenate(self._pending)
             if len(self._pending) != 1
@@ -313,10 +317,9 @@ class ChunkedIAF:
         )
         self._pending = []
         self._pending_len = 0
-        self._preview = None
         tracer = get_tracer()
         span = (
-            tracer.span(self._span_name, window=len(self._windows),
+            tracer.span(self._span_name, window=self._solves,
                         n=int(chunk.size), living=self.living_size,
                         k=0 if self._k is None else self._k)
             if tracer.enabled
@@ -329,22 +332,21 @@ class ChunkedIAF:
                     int(self._living_addrs.nbytes)
                     + int(self._living_last.nbytes),
                 )
-            self._windows.append(self._solve_chunk(chunk, self._stats))
+            piece = self._solve_chunk(chunk)
             self._living_addrs, self._living_last = last_access_carryover(
                 self._living_addrs, self._living_last, chunk,
                 self._processed, 0 if self._k is None else self._k,
             )
             self._processed += int(chunk.size)
+            self._solves += 1
+            total = add_curves(self._curve, piece)
+            if total.truncated_at is not None:
+                total = _restate_truncation(total, total.truncated_at)
+            self._curve = total
+        return piece
 
-    def _solve_chunk(
-        self, chunk: np.ndarray, stats: Optional[EngineStats]
-    ) -> HitRateCurve:
-        """Solve ``living · chunk`` and keep the chunk's contributions.
-
-        Side-effect free with ``stats=None`` — the preview path relies
-        on that to answer mid-chunk queries without double-charging the
-        engine instrumentation.
-        """
+    def _solve_chunk(self, chunk: np.ndarray) -> HitRateCurve:
+        """Solve ``living · chunk`` and keep the chunk's contributions."""
         r_trace = np.concatenate([self._living_addrs, chunk]).astype(
             self._dtype, copy=False
         )
@@ -353,8 +355,8 @@ class ChunkedIAF:
         prev_r, _ = prev_next_arrays(r_trace, engine_backend=self._backend)
         # Reversal duality: the backward distances of the reversed trace,
         # reversed, are the forward distances of the original.
-        d_rev = iaf_distances(r_trace[::-1], dtype=self._dtype, stats=stats,
-                              engine_backend=self._backend,
+        d_rev = iaf_distances(r_trace[::-1], dtype=self._dtype,
+                              stats=self._stats, engine_backend=self._backend,
                               workspace=self._workspace)
         f = d_rev[::-1]
         m = self._living_addrs.size
@@ -370,52 +372,20 @@ class ChunkedIAF:
 
     # -- queries ------------------------------------------------------------
 
-    def preview(self) -> Optional[HitRateCurve]:
-        """Curve of the pending partial chunk, without committing it.
-
-        Side-effect free and cached: repeated calls between pushes
-        re-use the answer instead of re-solving the same accesses, and
-        the solve records into neither ``stats`` nor a window.  Returns
-        ``None`` when nothing is pending.
-        """
-        if self._pending_len == 0:
-            return None
-        if self._preview is None:
-            chunk = np.concatenate(self._pending)
-            self._preview = self._solve_chunk(chunk, None)
-        return self._preview
-
-    def curve(self, *, include_pending: bool = True) -> HitRateCurve:
+    def curve(self) -> HitRateCurve:
         """The curve over everything ingested so far.
 
-        With ``include_pending`` the partial chunk is analyzed on the
-        fly (cached, never committed as a window), so the answer is
-        always exact for the full prefix of the stream.
+        Commits the pending partial chunk first: the solve a query needs
+        anyway, kept, so those accesses are never solved again.  With
+        ``max_cache_size`` the curve states the smallest ``k`` any chunk
+        was solved at.
         """
-        parts = list(self._windows)
-        if include_pending:
-            pending = self.preview()
-            if pending is not None:
-                parts.append(pending)
-        if not parts:
+        self.flush()
+        if self._curve is None:
             return HitRateCurve(
                 np.zeros(0, dtype=np.int64), 0, truncated_at=self._k
             )
-        if self._k is None:
-            return merge_curves(parts)
-        ks = [p.truncated_at for p in parts if p.truncated_at is not None]
-        k = min(ks + [self._k])
-        return merge_curves([_restate_truncation(p, k) for p in parts])
-
-    def finalize(self) -> HitRateCurve:
-        """Flush the pending chunk and return the merged curve.
-
-        In the exact mode this is bit-identical to
-        :func:`repro.core.engine.iaf_hit_rate_curve` over the
-        concatenation of everything pushed, for every chunk size.
-        """
-        self.flush()
-        return self.curve(include_pending=False)
+        return self._curve
 
 
 @dataclass
@@ -427,8 +397,6 @@ class ChunkedResult:
     """
 
     curve: HitRateCurve
-    windows: List[HitRateCurve]
-    chunk_bounds: List[Tuple[int, int]]
     chunk_size: int
     stats: Optional[EngineStats] = None
 
@@ -458,12 +426,7 @@ def chunked_iaf(
     # Feed in chunk-size runs so the full trace is never re-buffered.
     for start in range(0, arr.size, size):
         engine.push(arr[start : start + size])
-    curve = engine.finalize().with_stats(stats)
-    bounds = [
-        (start, min(start + size, arr.size))
-        for start in range(0, arr.size, size)
-    ]
     return ChunkedResult(
-        curve=curve, windows=engine.windows, chunk_bounds=bounds,
-        chunk_size=size, stats=stats,
+        curve=engine.curve().with_stats(stats), chunk_size=size,
+        stats=stats,
     )

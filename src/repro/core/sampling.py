@@ -49,7 +49,7 @@ MASK = (1 << 64) - 1
 
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mixer, vectorized (SplitMix64 finalizer)."""
+    """Deterministic 64-bit mixer, vectorized (SplitMix64's output mix)."""
     z = (values.astype(np.uint64) + np.uint64(SPLITMIX_GAMMA)) & np.uint64(MASK)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & np.uint64(MASK)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & np.uint64(MASK)
@@ -57,7 +57,7 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
 
 
 def unmix64(hashed: int) -> int:
-    """Invert :func:`splitmix64` for one value (the finalizer is a bijection).
+    """Invert :func:`splitmix64` for one value (the mix is a bijection).
 
     Used by the regression tests to *construct* addresses whose hash
     lands on an exact threshold boundary — the only way to make a

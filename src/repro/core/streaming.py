@@ -6,20 +6,14 @@ moment, can answer "what is the hit-rate curve so far / this window?" —
 in O(k) memory and O(log k) amortized work per access.
 
 :class:`OnlineCurveAnalyzer` is the k-truncated push façade over the
-chunked incremental engine (:class:`repro.core.chunked.ChunkedIAF`):
-accesses accumulate in the current chunk buffer; when the chunk fills,
-it is solved against the carried living-request suffix (the ``Q̄`` of
-Section 7 — the k-truncated special case of the engine's carry) and
-folded into the global (and per-window) curves.  ``flush()`` processes a
-partial chunk early (say, at a period boundary); results are identical
-to an offline :func:`repro.core.bounded.bounded_iaf` run over the same
-concatenated stream with the same chunk boundaries.
-
-Mid-stream queries are cheap: ``curve(include_pending=True)`` analyzes
-the pending partial chunk **on the fly** — side-effect free (no window
-is committed, no stats are charged) and cached, so back-to-back calls
-between pushes never re-solve the same accesses.  See
-docs/STREAMING.md for the architecture.
+chunked incremental engine (:class:`repro.core.chunked.ChunkedIAF`),
+which solves each window against the carried living-request suffix (the
+``Q̄`` of Section 7).  ``flush()`` closes a window early (say, at a
+period boundary).  A mid-stream ``curve()`` commits the pending
+accesses, and their piece joins the open window; truncated distances do
+not depend on where a solve is cut (Lemma 7.1), so windows stay
+bit-identical to :func:`repro.core.bounded.bounded_iaf`'s with the same
+boundaries.  See docs/STREAMING.md for the architecture.
 """
 
 from __future__ import annotations
@@ -28,9 +22,9 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, validate_dtype
+from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
 from ..errors import CapacityError
-from .chunked import ChunkedIAF
+from .chunked import ChunkedIAF, add_curves
 from .hitrate import HitRateCurve
 
 
@@ -69,6 +63,10 @@ class OnlineCurveAnalyzer:
             engine_backend=engine_backend,
             span_name="streaming.chunk",
         )
+        self._closed: List[HitRateCurve] = []
+        # The open window's accesses, and the sum of its solved pieces.
+        self._open_len = 0
+        self._open: Optional[HitRateCurve] = None
 
     # -- ingestion ----------------------------------------------------------
 
@@ -98,11 +96,31 @@ class OnlineCurveAnalyzer:
         values that do not fit in the analyzer's dtype raise
         :class:`~repro.errors.TraceError` instead of being silently cast.
         """
-        return self._engine.push(accesses)
+        arr = as_trace(np.atleast_1d(np.asarray(accesses)), dtype=self._dtype)
+        closed = len(self._closed)
+        while arr.size:
+            room = self.chunk_length - self._open_len
+            self._add(self._engine.push(arr[:room]))
+            self._open_len += min(room, int(arr.size))
+            arr = arr[room:]
+            if self._open_len == self.chunk_length:
+                self.flush()
+        return len(self._closed) - closed
 
     def flush(self) -> bool:
-        """Process a partial chunk now (window boundary); True if any."""
-        return self._engine.flush()
+        """Close a partial window now (window boundary); True if any."""
+        if self._open_len == 0:
+            return False
+        self._add([self._engine.flush()])
+        self._closed.append(self._open)
+        self._open, self._open_len = None, 0
+        return True
+
+    def _add(self, pieces: List[Optional[HitRateCurve]]) -> None:
+        """Sum solved pieces into the open window."""
+        for piece in pieces:
+            if piece is not None:
+                self._open = add_curves(self._open, piece)
 
     def expand_k(self, new_k: int) -> None:
         """Grow the tracked maximum cache size (Section 7 footnote: with
@@ -114,12 +132,11 @@ class OnlineCurveAnalyzer:
         suffix is already the most-recent-k ordering and simply stops
         truncating as hard.
 
-        The chunk length is recomputed as ``chunk_multiplier * new_k``,
-        preserving the bounded-IAF amortization (each O(multiplier·k)
-        chunk solve is charged to multiplier·k accesses — an earlier
-        version clamped to ``max(chunk_len, k)``, silently discarding
-        the multiplier).  The pending buffer is untouched: it simply has
-        more room before the next window boundary.
+        The window length becomes ``chunk_multiplier * new_k``, keeping
+        the bounded-IAF amortization; the open window just has more room.
+        A window that spans both a :meth:`curve` query and an
+        ``expand_k`` is truncated at the smaller ``k``: the accesses the
+        query solved cannot be solved again at the new one.
         """
         if new_k < self._k:
             raise CapacityError("k can only grow, never shrink")
@@ -134,24 +151,17 @@ class OnlineCurveAnalyzer:
     @property
     def windows(self) -> List[HitRateCurve]:
         """Curves of completed windows, in stream order."""
-        return self._engine.windows
+        return list(self._closed)
 
-    def curve(self, *, include_pending: bool = True) -> HitRateCurve:
-        """The curve over everything ingested so far.
-
-        With ``include_pending`` the partial chunk is analyzed on the fly
-        (without committing a window), so the answer is always exact for
-        the full prefix of the stream.  The on-the-fly solve is
-        side-effect free and cached by the underlying engine: repeated
-        calls between pushes reuse it instead of re-solving — an earlier
-        version re-ran the engine (and re-charged its instrumentation)
-        on every call.
-        """
-        return self._engine.curve(include_pending=include_pending)
+    def curve(self) -> HitRateCurve:
+        """The curve over everything ingested so far; commits the
+        pending accesses (see the module docstring)."""
+        self._add([self._engine.flush()])
+        return self._engine.curve()
 
     def window_curve(self, index: int) -> HitRateCurve:
         """Curve of one completed window."""
-        return self._engine.windows[index]
+        return self._closed[index]
 
 
 def analyze_stream(

@@ -11,7 +11,8 @@ through every registered implementation and demands **exact** agreement:
   case's fuzzed chunk size), the sharded ``process-iaf`` tier,
   BOUNDED-IAF, PARALLEL-BOUNDED-IAF, the
   :class:`~repro.core.streaming.OnlineCurveAnalyzer` fed random push
-  batches, and the Mattson/OST/splay/Fenwick/PARDA baselines;
+  batches and queried after each (windows too, against BOUNDED-IAF's),
+  and the Mattson/OST/splay/Fenwick/PARDA baselines;
 * weighted (Section 9.1) distances — weighted engine (the hub), the
   brute-force weighted oracle, the weighted OST, and the weighted
   parallel paths (threads and processes).
@@ -74,7 +75,7 @@ class Divergence:
 
     impl_a: str
     impl_b: str
-    quantity: str  # "distances" | "curve" | "weighted-distances" | "crash"
+    quantity: str  # distances | curve | windows | weighted-distances | crash
     index: int
     value_a: str
     value_b: str
@@ -251,7 +252,7 @@ def run_case_detailed(case: FuzzCase) -> OracleReport:
         trunc_kmax,
     )
     check_curve(
-        "online-analyzer", lambda: _streaming_curve(case), trunc_kmax
+        "online-analyzer", lambda: _streaming_curve(case, report), trunc_kmax
     )
     check_curve("chunked-iaf", lambda: _chunked_curve(case), full_kmax)
     if compiled_kernels.is_available():
@@ -473,6 +474,7 @@ def _tenant_curve(case: FuzzCase) -> HitRateCurve:
     for step in push_plan_for(case).tolist():
         registry.push("fuzz", case.trace[pos : pos + step])
         pos += step
+        registry.curve("fuzz")  # each query commits the pending accesses
     snapshot = registry.curve("fuzz")
     assert snapshot.exact_curve is not None  # never demoted: stays exact
     return snapshot.exact_curve
@@ -564,8 +566,10 @@ def _pad_flat(hits: np.ndarray, kmax: int) -> np.ndarray:
     return np.concatenate([hits, np.full(kmax - hits.size, tail)])
 
 
-def _streaming_curve(case: FuzzCase) -> HitRateCurve:
-    """Feed the trace through the online analyzer in random batches."""
+def _streaming_curve(case: FuzzCase, report: OracleReport) -> HitRateCurve:
+    """Feed the trace through the online analyzer in random batches,
+    querying after each; its windows must equal BOUNDED-IAF's bit for
+    bit (arrays, lengths and ``truncated_at``)."""
     cfg = case.config
     analyzer = OnlineCurveAnalyzer(
         cfg.k, chunk_multiplier=cfg.chunk_multiplier, dtype=cfg.numpy_dtype()
@@ -574,7 +578,25 @@ def _streaming_curve(case: FuzzCase) -> HitRateCurve:
     for step in push_plan_for(case).tolist():
         analyzer.push(case.trace[pos : pos + step])
         pos += step
+        analyzer.curve()  # commits the pending accesses mid-window
     analyzer.flush()
+    report.comparisons.append("bounded-iaf~online-analyzer:windows")
+    bounded = bounded_iaf(
+        case.trace, cfg.k, chunk_multiplier=cfg.chunk_multiplier,
+        dtype=cfg.numpy_dtype(),
+    )
+    want, got = (
+        [(w.total_accesses, w.truncated_at, w.hits_cumulative.tolist())
+         for w in windows]
+        for windows in (bounded.windows, analyzer.windows)
+    )
+    if want != got:
+        i = next((i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+                 min(len(want), len(got)))
+        report.divergences.append(Divergence(
+            "bounded-iaf", "online-analyzer", "windows", i,
+            str(want[i : i + 1]), str(got[i : i + 1]),
+        ))
     return analyzer.curve()
 
 

@@ -173,14 +173,14 @@ class Tenant:
     def _live_hits(self) -> Tuple[np.ndarray, int, int]:
         """The live engine's contribution: (cumulative hits, total, sampled)."""
         if self.tier == EXACT:
-            curve = self.engine.curve(include_pending=True)
+            curve = self.engine.curve()
             return (
                 np.asarray(curve.hits_cumulative, dtype=np.float64),
                 self.segment_accesses,
                 self.segment_sampled,
             )
         est = rescale_curve(
-            self.engine.curve(include_pending=True),
+            self.engine.curve(),
             total_accesses=self.segment_accesses,
             sampled_accesses=self.segment_sampled,
             rate=self.sample_rate,
@@ -189,9 +189,9 @@ class Tenant:
         return est.hits_estimate, self.segment_accesses, self.segment_sampled
 
     def _freeze_live(self) -> None:
-        """Freeze the live engine's curve as a history segment."""
+        """Freeze the live engine's curve as a history segment (reading
+        it commits the pending accesses, so the carry covers them)."""
         hits, total, sampled = self._live_hits()
-        self.engine.flush()
         if total or hits.size:
             self._segments.append(
                 _Frozen(kind=self.tier, hits=hits, total=total,
@@ -222,9 +222,8 @@ class Tenant:
             sampled_accesses=int(sampled),
             sample_rate=self.sample_rate if self.tier == SAMPLED else 1.0,
         )
-        exact = None
-        if not self._segments and self.tier == EXACT:
-            exact = self.engine.curve(include_pending=True)
+        exact = (self.engine.curve()
+                 if not self._segments and self.tier == EXACT else None)
         return TenantCurve(
             tenant_id=self.tenant_id,
             tier=self.tier,

@@ -1,20 +1,22 @@
-"""The chunked incremental engine: exactness, carry, preview, memory.
+"""The chunked incremental engine: exactness, carry, queries, memory.
 
-Acceptance anchors (ISSUE 6):
+Acceptance anchors:
 
 * ``chunked-iaf`` is **bit-identical** to the batch engine across a
   25-seed differential for chunk sizes {1, 7, 64, n} — the chunk size
   changes the working set, never the answer;
 * the living-request carry is the exact last-access map (least-recent
   first), truncated to the k most recent in the bounded regime;
-* ``curve(include_pending=True)`` / ``preview()`` are side-effect free
-  and cached — no window committed, no stats charged, no re-solve on
-  back-to-back calls;
-* carried state plateaus at O(u + chunk) while the batch engine's
-  footprint grows with n.
+* ``curve()`` commits the pending accesses: every prefix it answers is
+  exact, every access is solved once, and a repeated query solves
+  nothing;
+* carried state plateaus at O(u + chunk), and the bytes an engine holds
+  stay flat however long it runs.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,7 +60,7 @@ class TestExactness:
             step = int(rng.integers(1, 200))
             engine.push(trace[pos : pos + step])
             pos += step
-        got = engine.finalize()
+        got = engine.curve()
         want = iaf_hit_rate_curve(trace)
         assert np.array_equal(got.hits_cumulative, want.hits_cumulative)
 
@@ -83,7 +85,7 @@ class TestExactness:
 
     def test_empty_stream(self):
         engine = ChunkedIAF(8)
-        curve = engine.finalize()
+        curve = engine.curve()
         assert curve.total_accesses == 0
         assert engine.living_size == 0
         assert chunked_iaf([], 8).curve.total_accesses == 0
@@ -124,61 +126,67 @@ class TestLivingCarry:
         trace = make_trace(21, max_len=2000)
         k, mult = 8, 3
         engine = ChunkedIAF(mult * k, max_cache_size=k)
-        engine.push(trace)
-        engine.flush()
+        windows = engine.push(trace)
+        last = engine.flush()
+        if last is not None:
+            windows.append(last)
         ref = parallel_bounded_iaf(trace, k, workers=1,
                                    chunk_multiplier=mult)
-        assert len(engine.windows) == len(ref.windows)
-        for got, want in zip(engine.windows, ref.windows):
+        assert len(windows) == len(ref.windows)
+        for got, want in zip(windows, ref.windows):
             assert np.array_equal(got.hits_cumulative,
                                   want.hits_cumulative)
             assert got.truncated_at == want.truncated_at
 
 
-class TestPreview:
-    def test_preview_is_cached_and_side_effect_free(self):
-        trace = make_trace(3, max_len=500)
-        engine = ChunkedIAF(64, stats=EngineStats())
-        engine.push(trace[:100])
-        engine.push(trace[100:110])  # leaves a partial chunk pending
-        assert engine.preview() is engine.preview(), "preview not cached"
-        windows_before = len(engine.windows)
-        levels_before = engine._stats.levels if engine._stats else None
-        a = engine.curve()
-        b = engine.curve()
-        assert np.array_equal(a.hits_cumulative, b.hits_cumulative)
-        assert len(engine.windows) == windows_before
-        assert (engine._stats.levels if engine._stats else None) == \
-            levels_before, "preview charged the engine stats"
-        want = iaf_hit_rate_curve(trace[:110])
-        assert np.array_equal(a.hits_cumulative, want.hits_cumulative)
-
+class TestCommitOnQuery:
     def test_repeated_curve_emits_no_new_spans(self):
+        """A second curve() with nothing pushed solves nothing: no span,
+        no stats charged, the same answer."""
         from repro.obs import tracing
 
-        engine = ChunkedIAF(64)
+        stats = EngineStats()
+        engine = ChunkedIAF(64, stats=stats)
         engine.push(make_trace(11, max_len=100))
         with tracing() as tracer:
-            engine.curve()
-            first = len(tracer.events())
-            engine.curve()
-            second = len(tracer.events())
-        assert first == second, "second curve() re-solved the pending chunk"
+            first = engine.curve()
+            events, levels = len(tracer.events()), stats.levels
+            second = engine.curve()
+            assert len(tracer.events()) == events, \
+                "second curve() re-solved committed accesses"
+        assert stats.levels == levels, "second curve() charged the stats"
+        assert second is first
 
-    def test_push_invalidates_preview(self):
+    def test_query_commits_pending_accesses(self):
         engine = ChunkedIAF(64)
-        engine.push([1, 2, 3])
-        stale = engine.preview()
-        engine.push([4])
-        fresh = engine.preview()
-        assert fresh is not stale
-        assert fresh.total_accesses == 4
+        engine.push(make_trace(3, max_len=50))
+        assert engine.accesses_processed < engine.accesses_ingested
+        engine.curve()
+        assert engine.accesses_processed == engine.accesses_ingested
 
-    def test_preview_none_when_nothing_pending(self):
+    def test_ragged_pushes_queried_after_each_match_every_prefix(self):
+        rng = np.random.default_rng(505)
+        trace = make_trace(44, max_len=3000)
+        engine = ChunkedIAF(61)
+        pos = 0
+        while pos < trace.size:
+            step = int(rng.integers(1, 150))
+            engine.push(trace[pos : pos + step])
+            pos += step
+            got = engine.curve()
+            want = iaf_hit_rate_curve(trace[:pos])
+            assert np.array_equal(
+                got.hits_cumulative, want.hits_cumulative
+            ), pos
+            assert got.total_accesses == want.total_accesses
+
+    def test_push_and_flush_return_the_chunks_they_solve(self):
         engine = ChunkedIAF(4)
-        assert engine.preview() is None
-        engine.push([1, 2, 3, 4])  # exactly one full chunk, nothing over
-        assert engine.preview() is None
+        assert engine.push([1, 2, 3]) == []
+        solved = engine.push([1, 2, 3, 4, 5, 6])
+        assert [c.total_accesses for c in solved] == [4, 4]
+        assert engine.flush().total_accesses == 1
+        assert engine.flush() is None
 
 
 class TestReconfigure:
@@ -188,7 +196,7 @@ class TestReconfigure:
         engine.push(trace[:900])
         engine.reconfigure(chunk_size=128)
         engine.push(trace[900:])
-        got = engine.finalize()
+        got = engine.curve()
         want = iaf_hit_rate_curve(trace)
         assert np.array_equal(got.hits_cumulative, want.hits_cumulative)
 
@@ -224,15 +232,50 @@ class TestMemoryPlateau:
             "carried state grew with n after the universe saturated"
         )
 
-    def test_chunk_bounds_partition_the_trace(self):
-        trace = make_trace(2, max_len=500)
-        res = chunked_iaf(trace, 37)
-        assert res.chunk_bounds[0][0] == 0
-        assert res.chunk_bounds[-1][1] == trace.size
-        for (_, a_end), (b_start, _) in zip(res.chunk_bounds,
-                                            res.chunk_bounds[1:]):
-            assert a_end == b_start
-        assert sum(b - a for a, b in res.chunk_bounds) == trace.size
+    @staticmethod
+    def _held_bytes_growth(step, warm: int, stop: int) -> int:
+        """Traced bytes still allocated after ``stop`` steps, minus those
+        after ``warm``: what the engine holds on to as the stream grows."""
+        tracemalloc.start()
+        try:
+            for i in range(1, stop + 1):
+                step()
+                if i == warm:
+                    at_warm = tracemalloc.get_traced_memory()[0]
+            return tracemalloc.get_traced_memory()[0] - at_warm
+        finally:
+            tracemalloc.stop()
+
+    def test_exact_engine_holds_flat_bytes(self):
+        """Regression: the exact engine kept one curve per solved chunk
+        (+2.0 MB from chunk 20 to chunk 50 here)."""
+        rng = np.random.default_rng(78)
+        u, chunk = 8192, 2048
+        engine = ChunkedIAF(chunk)
+
+        def step() -> None:
+            engine.push(rng.integers(0, u, size=chunk))
+
+        growth = self._held_bytes_growth(step, warm=20, stop=50)
+        assert growth < 512 * 1024, f"engine kept {growth} more bytes"
+
+    def test_queried_exact_tenant_holds_flat_bytes(self):
+        """The same bound for an exact tenant queried after every push
+        (+1.9 MB from push 40 to push 100 when the engine kept one curve
+        per solved chunk)."""
+        from repro.tenants import TenantRegistry
+
+        rng = np.random.default_rng(79)
+        u = 8192
+        registry = TenantRegistry()
+        registry.register("t", chunk_size=2048)
+
+        def step() -> None:
+            registry.push("t", rng.integers(0, u, size=1000))
+            registry.curve("t")
+
+        growth = self._held_bytes_growth(step, warm=40, stop=100)
+        assert growth < 512 * 1024, f"tenant kept {growth} more bytes"
 
 
 class TestRestateTruncation:

@@ -165,7 +165,7 @@ class TestStreamingEquivalence:
         engine = ChunkedIAF(chunk_size=1024)
         engine.push(sample)
         streamed = rescale_curve(
-            engine.curve(include_pending=True),
+            engine.curve(),
             total_accesses=trace.size,
             sampled_accesses=int(sample.size),
             rate=rate,

@@ -51,7 +51,9 @@ class TestEquivalenceWithOffline:
     @given(nonempty_traces(max_addr=8), st.integers(1, 8),
            st.integers(1, 3), st.data())
     def test_matches_bounded_iaf(self, trace, k, mult, data):
-        """Arbitrary batch boundaries never change the result."""
+        """Arbitrary batch boundaries, and queries that commit the
+        pending accesses mid-window, never change the result: windows
+        stay bit-identical (arrays, lengths and truncation)."""
         offline = bounded_iaf(trace, k, chunk_multiplier=mult)
         analyzer = OnlineCurveAnalyzer(k, chunk_multiplier=mult)
         pos = 0
@@ -59,11 +61,15 @@ class TestEquivalenceWithOffline:
             step = data.draw(st.integers(1, trace.size - pos))
             analyzer.push(trace[pos : pos + step])
             pos += step
+            if data.draw(st.booleans()):
+                analyzer.curve()
         analyzer.flush()
         assert analyzer.curve().almost_equal(offline.curve)
         assert len(analyzer.windows) == len(offline.windows)
         for got, want in zip(analyzer.windows, offline.windows):
-            assert got.almost_equal(want)
+            assert np.array_equal(got.hits_cumulative, want.hits_cumulative)
+            assert got.total_accesses == want.total_accesses
+            assert got.truncated_at == want.truncated_at
 
     @given(nonempty_traces(max_addr=8), st.integers(1, 8))
     def test_curve_exact_mid_stream(self, trace, k):
@@ -144,6 +150,27 @@ class TestExpandK:
         curve = a.curve()
         for kk in (1, 2):  # smallest truncation still rules the merge
             assert curve.hits(kk) == int(want[min(kk, len(want)) - 1])
+
+
+    def test_window_spanning_query_and_expand_keeps_smaller_k(self):
+        """The accesses a query solved at the old k cannot be solved
+        again, so their window stays truncated at the smaller k."""
+        tr = np.random.default_rng(4).integers(0, 10, size=16)
+        queried = OnlineCurveAnalyzer(2, chunk_multiplier=4)  # window 8
+        plain = OnlineCurveAnalyzer(2, chunk_multiplier=4)
+        for a in (queried, plain):
+            a.push(tr[:3])
+            if a is queried:
+                a.curve()  # commits 3 accesses at k = 2
+            a.expand_k(4)  # window 16
+            assert a.push(tr[3:]) == 1
+        assert plain.windows[0].truncated_at == 4
+        window = queried.windows[0]
+        assert window.truncated_at == 2
+        assert window.total_accesses == 16
+        want = naive_hit_counts(tr)
+        for kk in (1, 2):
+            assert window.hits(kk) == int(want[min(kk, len(want)) - 1])
 
 
 class TestRetruncate:
