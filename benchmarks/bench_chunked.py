@@ -16,14 +16,22 @@ watermark:
   stream in pushes (the trace is never materialized), at n and 4n and
   across a sweep of chunk sizes.  RSS and the engine's own
   ``state_nbytes`` must plateau: 4x the accesses, same footprint.
+* **wide** — a tenant-shaped stream whose universe is far wider than a
+  chunk: Zipf-0.8 over u = 65 536 in 20 000-access pushes, with a
+  ``curve()`` query after every third push, at chunks 4 096 and 32 768.
+  Each chunk solves only the living entries it references, so the
+  accesses solved per access pushed, ``Σ(referenced + n) / Σn`` over the
+  ``chunked.chunk`` spans, stays at most 2 however large the carry.
 
 Acceptance bars (recorded in ``BENCH_chunked.json``):
 
-* chunked and batch curves agree exactly at every measured point;
+* chunked and batch curves agree exactly at every measured point, wide
+  arm included;
 * chunked peak RSS grows < ``RSS_GROWTH_HEADROOM`` from n to 4n while
   the carried ``state_nbytes`` stays flat;
 * chunked throughput at the default chunk stays within
-  ``THROUGHPUT_FLOOR`` of the batch engine.
+  ``THROUGHPUT_FLOOR`` of the batch engine;
+* the wide arm's amplification is at most ``AMPLIFICATION_CAP``.
 
 Runs two ways: under pytest like the sibling benches, or as a script
 (CI's perf-smoke job, under a hard ``timeout``) which writes the JSON
@@ -31,8 +39,8 @@ and exits nonzero on regression::
 
     PYTHONPATH=src python benchmarks/bench_chunked.py
 
-``REPRO_BENCH_CHUNKED_N`` scales the base stream length (default
-1_000_000; CI uses a smaller value for runtime).
+``REPRO_BENCH_CHUNKED_N`` scales the base stream length of every arm
+(default 1_000_000; CI uses a smaller value for runtime).
 """
 
 from __future__ import annotations
@@ -57,6 +65,12 @@ CHUNK_SWEEP = (4096, 32768, 131072)
 RSS_GROWTH_HEADROOM = 1.35   # chunked peak RSS from n to 4n
 THROUGHPUT_FLOOR = 10.0      # batch may be at most this many x faster
 
+WIDE_UNIVERSE = 65536        # the wide arm: a tenant-shaped stream
+WIDE_PUSH = 20000
+WIDE_QUERY_EVERY = 3         # a curve() query after every third push
+WIDE_CHUNKS = (4096, 32768)
+AMPLIFICATION_CAP = 2.0      # accesses solved per access pushed
+
 
 def chunked_n() -> int:
     return int(os.environ.get("REPRO_BENCH_CHUNKED_N", 1_000_000))
@@ -69,32 +83,66 @@ def _push_stream(n: int, seed: int = 23):
         yield rng.integers(0, UNIVERSE, size=min(PUSH, n - start))
 
 
+def _wide_stream(n: int, seed: int = 29):
+    """The wide arm's Zipf-0.8 stream, push by push."""
+    from repro.workloads import zipfian_trace
+
+    for i, start in enumerate(range(0, n, WIDE_PUSH)):
+        yield zipfian_trace(min(WIDE_PUSH, n - start), WIDE_UNIVERSE, 0.8,
+                            seed=seed + i)
+
+
 def _checksum(curve) -> int:
     return int(curve.hits_cumulative.sum()) + curve.total_accesses * 10**9
 
 
 def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
+    stream = _wide_stream(n) if mode.startswith("wide") else _push_stream(n)
+    extra: Dict[str, float] = {}
     t0 = time.perf_counter()
-    if mode == "batch":
+    if mode in ("batch", "wide-batch"):
         from repro.core.engine import iaf_hit_rate_curve
 
-        trace = np.concatenate(list(_push_stream(n)))
+        trace = np.concatenate(list(stream))
         curve = iaf_hit_rate_curve(trace)
         state = int(trace.nbytes)
-    else:
+    elif mode == "chunked":
         from repro.core.chunked import ChunkedIAF
 
         engine = ChunkedIAF(chunk)
-        for batch in _push_stream(n):
+        for batch in stream:
             engine.push(batch)
         curve = engine.curve()
         state = engine.state_nbytes  # living carry + running curve
+    else:
+        from repro.core.chunked import ChunkedIAF
+        from repro.obs import tracing
+
+        engine = ChunkedIAF(chunk)
+        with tracing() as tracer:
+            for i, batch in enumerate(stream, 1):
+                engine.push(batch)
+                if i % WIDE_QUERY_EVERY == 0:
+                    engine.curve()
+            curve = engine.curve()
+        state = engine.state_nbytes
+        spans = [e.attrs for e in tracer.events()
+                 if e.name == "chunked.chunk"]
+        pushed = sum(a["n"] for a in spans)
+        extra = {
+            "chunks": float(len(spans)),
+            "amplification": (
+                sum(a["referenced"] + a["n"] for a in spans) / pushed
+                if pushed else 0.0
+            ),
+        }
     seconds = time.perf_counter() - t0
     return {
         "rss_kb": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         "seconds": seconds,
         "state_nbytes": float(state),
         "checksum": float(_checksum(curve)),
+        **extra,
     }
 
 
@@ -125,6 +173,11 @@ def measure(n: int) -> Dict[str, object]:
         point = _run_point("chunked", n, chunk)
         point["chunk"] = chunk
         sweep.append(point)
+    wide: List[Dict[str, float]] = []
+    for chunk in WIDE_CHUNKS:
+        point = _run_point("wide", n, chunk)
+        point["chunk"] = chunk
+        wide.append(point)
     return {
         "n": n,
         "universe": UNIVERSE,
@@ -132,6 +185,13 @@ def measure(n: int) -> Dict[str, object]:
         "batch": {"n1": batch_1, "n4": batch_4},
         "chunked": {"n1": chunked_1, "n4": chunked_4},
         "chunk_sweep": sweep,
+        "wide": {
+            "universe": WIDE_UNIVERSE,
+            "push": WIDE_PUSH,
+            "query_every": WIDE_QUERY_EVERY,
+            "batch": _run_point("wide-batch", n, 0),
+            "points": wide,
+        },
         "batch_rss_growth": batch_4["rss_kb"] / batch_1["rss_kb"],
         "chunked_rss_growth": chunked_4["rss_kb"] / chunked_1["rss_kb"],
         "throughput_ratio": (
@@ -171,6 +231,19 @@ def verify(results: Dict[str, object]) -> List[str]:
             f"chunked throughput is {1 / results['throughput_ratio']:.1f}x "
             f"slower than batch (floor: {THROUGHPUT_FLOOR}x)"
         )
+    wide = results["wide"]
+    for point in wide["points"]:
+        if point["checksum"] != wide["batch"]["checksum"]:
+            problems.append(
+                f"wide-universe curve at chunk {point['chunk']} diverges "
+                "from the batch engine"
+            )
+        if point["amplification"] > AMPLIFICATION_CAP:
+            problems.append(
+                f"wide-universe chunk {point['chunk']} solved "
+                f"{point['amplification']:.2f} accesses per access pushed "
+                f"(cap {AMPLIFICATION_CAP})"
+            )
     return problems
 
 
@@ -200,7 +273,7 @@ def _render(results: Dict[str, object]) -> str:
          f"{p['rss_kb'] / 1024:.0f}", f"{p['seconds']:.2f}"]
         for p in results["chunk_sweep"]
     ]
-    return render_table(
+    narrow = render_table(
         f"Chunked vs batch (u={results['universe']:,}, "
         f"default chunk={results['default_chunk']:,})",
         ["engine", "accesses", "peak RSS (MB)", "wall (s)"],
@@ -210,6 +283,26 @@ def _render(results: Dict[str, object]) -> str:
             f"chunked: {results['chunked_rss_growth']:.2f}x; "
             f"results recorded in {JSON_PATH.name}"
         ),
+    )
+    wide = results["wide"]
+    wide_rows = [
+        ["batch", f"{n:,}", f"{wide['batch']['rss_kb'] / 1024:.0f}",
+         f"{wide['batch']['seconds']:.2f}", "-"],
+    ] + [
+        [f"chunked c={p['chunk']:,}", f"{n:,}",
+         f"{p['rss_kb'] / 1024:.0f}", f"{p['seconds']:.2f}",
+         f"{p['amplification']:.2f}"]
+        for p in wide["points"]
+    ]
+    return narrow + "\n" + render_table(
+        f"Wide universe (u={wide['universe']:,}, "
+        f"{wide['push']:,}-access pushes, a query every "
+        f"{wide['query_every']} pushes)",
+        ["engine", "accesses", "peak RSS (MB)", "wall (s)",
+         "amplification"],
+        wide_rows,
+        note=f"amplification = Σ(referenced + n) / Σn over the chunk "
+             f"spans; cap {AMPLIFICATION_CAP}",
     )
 
 
@@ -241,7 +334,9 @@ def main() -> int:
     print(
         f"ok: chunked RSS growth n→4n {results['chunked_rss_growth']:.2f}x "
         f"(batch {results['batch_rss_growth']:.2f}x); throughput "
-        f"{results['throughput_ratio']:.2f}x of batch"
+        f"{results['throughput_ratio']:.2f}x of batch; wide amplification "
+        + ", ".join(f"{p['amplification']:.2f}"
+                    for p in results["wide"]["points"])
     )
     return 0
 

@@ -12,7 +12,9 @@ global ones.
 ``Q̄`` is the living-request carry of
 :class:`repro.core.chunked.ChunkedIAF` truncated at ``k``, so the serial
 algorithm is that engine with ``max_cache_size=k`` and
-``chunk_multiplier * k``-access chunks.
+``chunk_multiplier * k``-access chunks.  That engine solves only the
+``Q̄`` entries a chunk references and adds the others back exactly; the
+parallel form below keeps the full ``Q̄ · C`` solve of Lemma 7.1.
 
 Forward distances come from the reversal duality
 ``f(T) = reverse(d(reverse(T)))``: the backward distance vector of the

@@ -9,16 +9,26 @@ giving up exactness: consume the trace chunk-by-chunk and carry only the
 that is still distinct, ordered by recency, together with its global
 position (the ``living_req`` representation of the etwest exemplar).
 
-Per chunk ``C`` with carried living set ``L`` the engine solves the
-synthetic trace ``R = L · C`` with the existing fused partition kernel
-(via the reversal duality ``f(T) = reverse(d(reverse(T)))``) and keeps
-only the chunk part of the forward distances.  This is exact, not an
-approximation: every address in the global interval ``(prev(i), i)`` of
-a chunk access ``i`` either re-occurs inside the chunk or is living at
-the chunk boundary with a last access inside the interval, so distinct
-counts over ``R`` equal distinct counts over the full trace — Lemma 7.1
+Per chunk ``C`` with carried living set ``L`` the distances are those
+of the synthetic trace ``L · C``.  This is exact, not an approximation:
+every address in the global interval ``(prev(i), i)`` of a chunk access
+``i`` either re-occurs inside the chunk or is living at the chunk
+boundary with a last access inside the interval, so distinct counts
+over ``L · C`` equal distinct counts over the full trace — Lemma 7.1
 with the truncation bound removed.  BOUNDED-IAF's ``Q̄`` suffix is the
 ``k``-truncated special case of this carry.
+
+The engine does not solve all of ``L``, though.  A living entry whose
+address the chunk never touches adds exactly 1 to the distance of each
+chunk access whose previous occurrence is an older carry entry, and
+nothing else.  So each chunk solves only ``referenced · C``, the ``r``
+living entries the chunk touches followed by the chunk, with the
+existing fused partition kernel (via the reversal duality
+``f(T) = reverse(d(reverse(T)))``), then adds the count of newer
+unreferenced entries back to each distance that reaches into the carry.
+Since ``r`` is at most the chunk's distinct count, a solve covers at
+most ``2 * chunk`` accesses: its cost follows the chunk, not the
+universe.
 
 Consequences:
 
@@ -29,6 +39,8 @@ Consequences:
   partial chunk as a chunk of its own: every access is solved once.
 * Steady-state memory is O(u + chunk): the living carry, the pending
   buffer, the running curve and one chunk solve.  Nothing grows with n.
+  The pending buffer is the engine's own: ``push`` copies the tail it
+  leaves pending, so callers may reuse their arrays.
 * With ``max_cache_size=k`` the carry is truncated to the ``k`` most
   recent living requests and chunk curves come out ``truncated_at=k``
   — the BOUNDED-IAF chunk loop itself: serial
@@ -201,7 +213,8 @@ class ChunkedIAF:
 
     def push(self, accesses: TraceLike) -> List[HitRateCurve]:
         """Ingest a batch of accesses; returns the curves of the chunks it
-        completed.  Input is validated like the offline entry points."""
+        completed.  Input is validated like the offline entry points, and
+        the caller may reuse ``accesses`` once this returns."""
         arr = np.atleast_1d(np.asarray(accesses))
         arr = as_trace(arr, dtype=self._dtype)
         self._accesses += int(arr.size)
@@ -209,6 +222,11 @@ class ChunkedIAF:
         while arr.size:
             room = self._chunk_size - self._pending_len
             take, arr = arr[:room], arr[room:]
+            if take.size < room:
+                # This tail stays pending after push returns: copy it, so
+                # the engine neither sees the caller reuse the buffer nor
+                # keeps the whole batch alive through a short view.
+                take = take.copy()
             self._pending.append(take)
             self._pending_len += int(take.size)
             if self._pending_len == self._chunk_size:
@@ -332,7 +350,7 @@ class ChunkedIAF:
                     int(self._living_addrs.nbytes)
                     + int(self._living_last.nbytes),
                 )
-            piece = self._solve_chunk(chunk)
+            piece = self._solve_chunk(chunk, span)
             self._living_addrs, self._living_last = last_access_carryover(
                 self._living_addrs, self._living_last, chunk,
                 self._processed, 0 if self._k is None else self._k,
@@ -345,29 +363,49 @@ class ChunkedIAF:
             self._curve = total
         return piece
 
-    def _solve_chunk(self, chunk: np.ndarray) -> HitRateCurve:
-        """Solve ``living · chunk`` and keep the chunk's contributions."""
-        r_trace = np.concatenate([self._living_addrs, chunk]).astype(
+    def _solve_chunk(self, chunk: np.ndarray, span) -> HitRateCurve:
+        """Solve ``referenced · chunk`` and keep the chunk's contributions.
+
+        ``referenced`` is the ``r`` living entries whose address the chunk
+        touches, in carry order.  An unreferenced living entry appears
+        nowhere in the chunk, so it adds exactly 1 to the distance of
+        every chunk access whose previous occurrence is an older carry
+        entry, and nothing to any other.  Dropping those entries from the
+        solve and adding their count back is therefore exact: a chunk
+        access whose previous occurrence is the ``q``-th referenced entry,
+        at carry index ``j`` of ``m``, gains ``(m-1-j) - (r-1-q)``, before
+        any ``k + 1`` clip.  The solve covers ``r + n <= 2n`` accesses
+        however large the carry; ``r`` is recorded on ``span`` as
+        ``referenced``.
+        """
+        living = self._living_addrs
+        m = living.size
+        referenced = np.flatnonzero(np.isin(living, chunk))
+        r = referenced.size
+        span.set(referenced=r)
+        solved = np.concatenate([living[referenced], chunk]).astype(
             self._dtype, copy=False
         )
         if self._memory is not None:
-            self._memory.observe("chunked.chunk", int(r_trace.nbytes) * 2)
-        prev_r, _ = prev_next_arrays(r_trace, engine_backend=self._backend)
+            self._memory.observe("chunked.chunk", int(solved.nbytes) * 2)
+        prev, _ = prev_next_arrays(solved, engine_backend=self._backend)
         # Reversal duality: the backward distances of the reversed trace,
         # reversed, are the forward distances of the original.
-        d_rev = iaf_distances(r_trace[::-1], dtype=self._dtype,
+        d_rev = iaf_distances(solved[::-1], dtype=self._dtype,
                               stats=self._stats, engine_backend=self._backend,
                               workspace=self._workspace)
-        f = d_rev[::-1]
-        m = self._living_addrs.size
-        prev_chunk = prev_r[m:]
+        f = d_rev[::-1][r:]
+        prev_chunk = prev[r:]
+        carried = (prev_chunk >= 0) & (prev_chunk < r)
+        newer_unreferenced = (m - 1 - referenced) - (r - 1 - np.arange(r))
+        f[carried] += newer_unreferenced[prev_chunk[carried]]
         prev_map = np.where(prev_chunk == -1, -1, 0)
         if self._memory is not None:
             self._memory.observe("chunked.chunk", 0)
         if self._k is None:
-            return curve_from_forward_distances(f[m:], prev_map)
+            return curve_from_forward_distances(f, prev_map)
         return curve_from_forward_distances(
-            np.minimum(f[m:], self._k + 1), prev_map, truncated_at=self._k
+            np.minimum(f, self._k + 1), prev_map, truncated_at=self._k
         )
 
     # -- queries ------------------------------------------------------------

@@ -11,12 +11,19 @@ Acceptance anchors:
   exact, every access is solved once, and a repeated query solves
   nothing;
 * carried state plateaus at O(u + chunk), and the bytes an engine holds
-  stay flat however long it runs.
+  stay flat however long it runs;
+* a chunk solves only the living entries it references: exact for wide
+  universes and every edge of the carry, and at most ``2 * chunk``
+  accesses per solve whatever the carry size;
+* ``push`` keeps no view of the caller's array: reusing one buffer for
+  every push leaves every entry point's curve exact.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +36,10 @@ from repro.core.chunked import (
     chunked_iaf,
 )
 from repro.core.engine import EngineStats, iaf_hit_rate_curve
+from repro.core.streaming import OnlineCurveAnalyzer
 from repro.errors import CapacityError, ReproError, TraceError
+from repro.obs import tracing
+from repro.workloads import zipfian_trace
 
 
 def make_trace(seed: int, max_len: int = 1200) -> np.ndarray:
@@ -293,3 +303,181 @@ class TestRestateTruncation:
         assert wide.hits_cumulative.size == 4
         narrow = _restate_truncation(full, 1)
         assert narrow.hits_cumulative.tolist() == [0]
+
+
+def wide_trace(seed: int, n: int, u: int = 50_000) -> np.ndarray:
+    """Half hot-set accesses, half drawn from a universe far wider than
+    any chunk: chunks re-touch a few carried entries, old and new."""
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(0, 64, size=n)
+    cold = rng.integers(0, u, size=n)
+    return np.where(rng.random(n) < 0.5, hot, cold)
+
+
+def chunk_spans(tracer, name: str = "chunked.chunk"):
+    return [e for e in tracer.events() if e.name == name]
+
+
+def assert_same_curve(got, want, context=None) -> None:
+    assert np.array_equal(got.hits_cumulative, want.hits_cumulative), context
+    assert got.total_accesses == want.total_accesses, context
+    assert got.truncated_at == want.truncated_at, context
+
+
+class TestReferencedSolve:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_wide_universe_prefix_curves_match_batch(self, dtype):
+        rng = np.random.default_rng(606)
+        trace = wide_trace(61, 4000).astype(dtype)
+        engine = ChunkedIAF(64, dtype=dtype)
+        pos = 0
+        while pos < trace.size:
+            step = int(rng.integers(1, 150))
+            engine.push(trace[pos : pos + step])
+            pos += step
+            assert_same_curve(engine.curve(),
+                              iaf_hit_rate_curve(trace[:pos]), pos)
+        assert engine.living_size > 10 * engine.chunk_size
+
+    @pytest.mark.parametrize("k", [1, 37, 512])
+    def test_truncated_windows_match_parallel_bounded(self, k):
+        rng = np.random.default_rng(k)
+        trace = wide_trace(k, 6000, u=4 * k + 300)
+        mult = 2
+        engine = ChunkedIAF(mult * k, max_cache_size=k)
+        windows, pos = [], 0
+        while pos < trace.size:
+            step = int(rng.integers(1, 3 * k + 50))
+            windows += engine.push(trace[pos : pos + step])
+            pos += step
+        last = engine.flush()
+        if last is not None:
+            windows.append(last)
+        ref = parallel_bounded_iaf(trace, k, workers=1,
+                                   chunk_multiplier=mult)
+        assert len(windows) == len(ref.windows)
+        for i, (got, want) in enumerate(zip(windows, ref.windows)):
+            assert_same_curve(got, want, i)
+
+    @pytest.mark.parametrize(
+        "chunk, referenced",
+        [
+            ([10, 11, 12, 10, 13], 0),           # r = 0: nothing re-touched
+            ([9, 3, 0, 7, 5, 1, 8, 2, 6, 4], 10),  # r = m: all re-touched
+            ([0, 20, 0, 21], 1),                 # the oldest entry, j = 0
+            ([9, 20, 9, 21], 1),                 # the newest entry, j = m-1
+            ([0, 9, 22, 4, 0], 3),               # both ends and the middle
+        ],
+    )
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_edge_carries(self, chunk, referenced, k):
+        head = np.arange(10)
+        trace = np.concatenate([head, chunk])
+        engine = ChunkedIAF(len(chunk), max_cache_size=k)
+        engine.push(head)
+        engine.flush()
+        with tracing() as tracer:
+            engine.push(chunk)
+        (span,) = chunk_spans(tracer)
+        if k is None:
+            assert span.attrs["referenced"] == referenced
+            assert_same_curve(engine.curve(), iaf_hit_rate_curve(trace))
+        else:
+            # The truncated carry holds only the k newest entries.
+            assert span.attrs["referenced"] == np.isin(head[-k:], chunk).sum()
+            assert_same_curve(
+                _restate_truncation(engine.curve(), k),
+                _restate_truncation(iaf_hit_rate_curve(trace), k),
+            )
+
+    def test_single_access_chunks(self):
+        trace = wide_trace(62, 800, u=2000)
+        with tracing() as tracer:
+            got = chunked_iaf(trace, 1).curve
+        assert_same_curve(got, iaf_hit_rate_curve(trace))
+        spans = chunk_spans(tracer)
+        assert len(spans) == trace.size
+        assert {s.attrs["referenced"] for s in spans} == {0, 1}
+
+    def test_chunk_solve_is_bounded_by_twice_the_chunk(self):
+        """Every chunk solves at most ``2 * chunk`` accesses, however many
+        living entries it is solved against."""
+        chunk = 1024
+        trace = zipfian_trace(60_000, 65_536, 0.8, seed=7)
+        engine = ChunkedIAF(chunk)
+        with tracing() as tracer:
+            for start in range(0, trace.size, 20_000):
+                engine.push(trace[start : start + 20_000])
+                engine.curve()
+        spans = chunk_spans(tracer)
+        assert len(spans) >= trace.size // chunk
+        assert max(s.attrs["living"] for s in spans) > 4 * chunk
+        for s in spans:
+            n, r = s.attrs["n"], s.attrs["referenced"]
+            assert r <= min(s.attrs["living"], n)
+            assert r + n <= 2 * chunk
+
+    def test_bounded_and_streaming_spans_carry_referenced(self):
+        trace = wide_trace(63, 500, u=300)
+        with tracing() as tracer:
+            bounded_iaf(trace, 16)
+            analyzer = OnlineCurveAnalyzer(16)
+            analyzer.push(trace)
+            analyzer.curve()
+        for name in ("bounded.chunk", "streaming.chunk"):
+            spans = chunk_spans(tracer, name)
+            assert spans, name
+            assert all(0 <= s.attrs["referenced"] <= min(16, s.attrs["n"])
+                       for s in spans), name
+
+
+class TestCallerBuffers:
+    """``push`` must own what stays pending: callers reuse buffers."""
+
+    PUSH = 97
+
+    def _feed(self, trace: np.ndarray, push) -> None:
+        buf = np.empty(self.PUSH, dtype=np.int64)
+        for start in range(0, trace.size, self.PUSH):
+            part = trace[start : start + self.PUSH]
+            view = buf[: part.size]
+            view[:] = part
+            push(view)
+        buf[:] = 0
+
+    def test_engine_reusing_one_buffer(self):
+        trace = make_trace(71, max_len=3000)
+        engine = ChunkedIAF(64)
+        self._feed(trace, engine.push)
+        assert_same_curve(engine.curve(), iaf_hit_rate_curve(trace))
+
+    def test_exact_tenant_reusing_one_buffer(self):
+        from repro.tenants import TenantRegistry
+
+        trace = make_trace(72, max_len=3000)
+        registry = TenantRegistry()
+        registry.register("t", chunk_size=64)
+        self._feed(trace, lambda arr: registry.push("t", arr))
+        snap = registry.curve("t")
+        assert_same_curve(snap.exact_curve, iaf_hit_rate_curve(trace))
+
+    def test_analyzer_reusing_one_buffer(self):
+        trace = make_trace(73, max_len=3000)
+        k, mult = 16, 4
+        analyzer = OnlineCurveAnalyzer(k, chunk_multiplier=mult)
+        self._feed(trace, analyzer.push)
+        analyzer.flush()
+        want = bounded_iaf(trace, k, chunk_multiplier=mult)
+        assert len(analyzer.windows) == len(want.windows)
+        for i, (got, ref) in enumerate(zip(analyzer.windows, want.windows)):
+            assert_same_curve(got, ref, i)
+
+    def test_pending_tail_does_not_pin_the_pushed_array(self):
+        batch = np.arange(100 * 100 + 7, dtype=np.int64) % 5_000
+        alive = weakref.ref(batch)
+        engine = ChunkedIAF(100)
+        engine.push(batch)
+        del batch
+        gc.collect()
+        assert alive() is None, "the pending tail keeps the batch alive"
+        assert engine.accesses_processed == 100 * 100
