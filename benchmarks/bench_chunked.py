@@ -22,6 +22,16 @@ watermark:
   Each chunk solves only the living entries it references, so the
   accesses solved per access pushed, ``Σ(referenced + n) / Σn`` over the
   ``chunked.chunk`` spans, stays at most 2 however large the carry.
+* **tenants** — 16 exact tenants of one
+  :class:`~repro.tenants.TenantRegistry`, all pushed from one thread:
+  10 rounds of one 20 000-access Zipf-1.1 push per tenant over
+  u = 65 536, every tenant queried after every third round.  One
+  subprocess side records peak RSS next to Σ ``state_nbytes`` (what the
+  tenant budgets charge) and the capacity of the thread's workspace
+  (the chunk solves' scratch, which the tenants share; address space,
+  of which only touched pages are resident), and checks every tenant's
+  curve against :func:`~repro.core.engine.iaf_hit_rate_curve` over
+  what it was pushed.  Fixed size; its memory figures carry no bar.
 
 Acceptance bars (recorded in ``BENCH_chunked.json``):
 
@@ -31,7 +41,8 @@ Acceptance bars (recorded in ``BENCH_chunked.json``):
   the carried ``state_nbytes`` stays flat;
 * chunked throughput at the default chunk stays within
   ``THROUGHPUT_FLOOR`` of the batch engine;
-* the wide arm's amplification is at most ``AMPLIFICATION_CAP``.
+* the wide arm's amplification is at most ``AMPLIFICATION_CAP``;
+* every tenant's curve matches the batch engine.
 
 Runs two ways: under pytest like the sibling benches, or as a script
 (CI's perf-smoke job, under a hard ``timeout``) which writes the JSON
@@ -71,6 +82,13 @@ WIDE_QUERY_EVERY = 3         # a curve() query after every third push
 WIDE_CHUNKS = (4096, 32768)
 AMPLIFICATION_CAP = 2.0      # accesses solved per access pushed
 
+TENANTS = 16                 # the tenants arm: exact tenants, one thread
+TENANT_UNIVERSE = 65536
+TENANT_ALPHA = 1.1
+TENANT_PUSH = 20000
+TENANT_ROUNDS = 10
+TENANT_QUERY_EVERY = 3       # every tenant queried after every third round
+
 
 def chunked_n() -> int:
     return int(os.environ.get("REPRO_BENCH_CHUNKED_N", 1_000_000))
@@ -92,11 +110,59 @@ def _wide_stream(n: int, seed: int = 29):
                             seed=seed + i)
 
 
+def _tenant_push(tenant: int, round_: int):
+    """One tenant's push in one round of the tenants arm."""
+    from repro.workloads import zipfian_trace
+
+    return zipfian_trace(TENANT_PUSH, TENANT_UNIVERSE, TENANT_ALPHA,
+                         seed=1000 * tenant + round_)
+
+
+def _tenants_child() -> Dict[str, float]:
+    """The tenants arm: push, query, then check every curve."""
+    from repro.core.engine import iaf_hit_rate_curve, thread_workspace
+    from repro.tenants import TenantRegistry
+
+    registry = TenantRegistry()
+    ids = [f"t{i}" for i in range(TENANTS)]
+    for tenant_id in ids:
+        registry.register(tenant_id)
+    t0 = time.perf_counter()
+    for round_ in range(1, TENANT_ROUNDS + 1):
+        for i, tenant_id in enumerate(ids):
+            registry.push(tenant_id, _tenant_push(i, round_))
+        if round_ % TENANT_QUERY_EVERY == 0:
+            for tenant_id in ids:
+                registry.curve(tenant_id)
+    curves = [registry.curve(tenant_id).exact_curve for tenant_id in ids]
+    seconds = time.perf_counter() - t0
+    # Memory before the reference solves, which are not the arm's.
+    rss_kb = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    workspace_nbytes = float(thread_workspace().nbytes)
+    mismatched = 0
+    for i, curve in enumerate(curves):
+        ref = iaf_hit_rate_curve(np.concatenate(
+            [_tenant_push(i, r) for r in range(1, TENANT_ROUNDS + 1)]
+        ))
+        if curve is None or _checksum(curve) != _checksum(ref) or not \
+                np.array_equal(curve.hits_cumulative, ref.hits_cumulative):
+            mismatched += 1
+    return {
+        "rss_kb": rss_kb,
+        "seconds": seconds,
+        "state_nbytes": float(registry.state_nbytes),
+        "workspace_nbytes": workspace_nbytes,
+        "mismatched_curves": float(mismatched),
+    }
+
+
 def _checksum(curve) -> int:
     return int(curve.hits_cumulative.sum()) + curve.total_accesses * 10**9
 
 
 def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
+    if mode == "tenants":
+        return _tenants_child()
     stream = _wide_stream(n) if mode.startswith("wide") else _push_stream(n)
     extra: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -192,6 +258,15 @@ def measure(n: int) -> Dict[str, object]:
             "batch": _run_point("wide-batch", n, 0),
             "points": wide,
         },
+        "tenants": {
+            "tenants": TENANTS,
+            "universe": TENANT_UNIVERSE,
+            "alpha": TENANT_ALPHA,
+            "push": TENANT_PUSH,
+            "rounds": TENANT_ROUNDS,
+            "query_every": TENANT_QUERY_EVERY,
+            **_run_point("tenants", 0, 0),
+        },
         "batch_rss_growth": batch_4["rss_kb"] / batch_1["rss_kb"],
         "chunked_rss_growth": chunked_4["rss_kb"] / chunked_1["rss_kb"],
         "throughput_ratio": (
@@ -244,6 +319,12 @@ def verify(results: Dict[str, object]) -> List[str]:
                 f"{point['amplification']:.2f} accesses per access pushed "
                 f"(cap {AMPLIFICATION_CAP})"
             )
+    mismatched = int(results["tenants"]["mismatched_curves"])
+    if mismatched:
+        problems.append(
+            f"{mismatched} of {TENANTS} tenant curves diverge from the "
+            "batch engine"
+        )
     return problems
 
 
@@ -294,7 +375,21 @@ def _render(results: Dict[str, object]) -> str:
          f"{p['amplification']:.2f}"]
         for p in wide["points"]
     ]
-    return narrow + "\n" + render_table(
+    tenants = results["tenants"]
+    tenant_table = render_table(
+        f"{tenants['tenants']} exact tenants on one thread "
+        f"(u={tenants['universe']:,}, {tenants['rounds']} rounds of "
+        f"{tenants['push']:,}-access pushes, queried every "
+        f"{tenants['query_every']} rounds)",
+        ["peak RSS (MB)", "Σ state_nbytes (MB)", "workspace cap (MB)",
+         "wall (s)", "curves off"],
+        [[f"{tenants['rss_kb'] / 1024:.0f}",
+          f"{tenants['state_nbytes'] / 2**20:.1f}",
+          f"{tenants['workspace_nbytes'] / 2**20:.1f}",
+          f"{tenants['seconds']:.2f}",
+          f"{tenants['mismatched_curves']:.0f}"]],
+    )
+    return narrow + "\n" + tenant_table + "\n" + render_table(
         f"Wide universe (u={wide['universe']:,}, "
         f"{wide['push']:,}-access pushes, a query every "
         f"{wide['query_every']} pushes)",

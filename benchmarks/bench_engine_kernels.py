@@ -1,4 +1,4 @@
-"""Fused-vs-naive partition kernels, workspace allocations, batch solving.
+"""Fused-vs-naive partition kernels, steady-state allocations, batch solving.
 
 Three measurements behind the engine-core rework, each against the
 acceptance bars recorded in ``BENCH_engine_kernels.json``:
@@ -12,10 +12,12 @@ acceptance bars recorded in ``BENCH_engine_kernels.json``:
   without numba both record honest "unavailable" metadata instead.
 * **steady-state allocations** — tracemalloc peak bytes and live blocks
   during a solve *after* warm-up: the naive backend re-allocates every
-  level's arrays, the fused backend runs inside a primed
-  :class:`~repro.core.engine.Workspace`.  Bar: fused >= 2x lower.
+  level's arrays, the fused backend runs inside the thread's primed
+  workspace (:func:`~repro.core.engine.thread_workspace`).  Bar: fused
+  >= 2x lower.
 * **batch throughput** — 64 independent 16k traces solved as one
-  batched level loop vs a per-trace python loop.  Bar: batch >= 1x
+  batched level loop vs a per-trace python loop, both in the thread's
+  workspace.  Bar: batch >= 1x
   (the 1.5x design target needs the dispatch amortization to matter,
   i.e. more than one slow core — see docs/PERFORMANCE.md).
 
@@ -46,7 +48,6 @@ import numpy as np
 from repro.core import compiled
 from repro.core.engine import (
     Segments,
-    Workspace,
     iaf_distances,
     iaf_distances_batch,
     solve_prepost_arrays,
@@ -84,22 +85,19 @@ def measure_level_loop(n: int) -> Dict[str, float]:
 
     The compiled (numba) backend is timed only when the JIT is actually
     on: timing the un-jitted pure fallback would benchmark a python
-    interpreter loop, not the kernel this bar is about.
+    interpreter loop, not the kernel this bar is about.  The fused and
+    compiled loops run in the thread's workspace, as every solve does.
     """
     trace = _zipf_trace(n)
     seg = _root_segments(trace)
     values = np.zeros(trace.size + 1, dtype=np.int64)
-    workspaces = {"fused": Workspace(), "compiled": Workspace()}
 
     def run(backend: str) -> float:
         def once():
             values.fill(0)
-            solve_prepost_arrays(
-                seg, values, engine_backend=backend,
-                workspace=workspaces.get(backend),
-            )
+            solve_prepost_arrays(seg, values, engine_backend=backend)
 
-        once()  # warm up (and prime the workspace)
+        once()  # warm up (and size the thread's workspace)
         _res, secs = median_time(once, repeats=REPEATS)
         return secs
 
@@ -140,14 +138,11 @@ def measure_thread_scaling(n: int) -> Dict[str, object]:
     trace = _zipf_trace(n)
     seg = _root_segments(trace)
     values = np.zeros(trace.size + 1, dtype=np.int64)
-    ws = Workspace()
     compiled.warmup()
 
     def once():
         values.fill(0)
-        solve_prepost_arrays(
-            seg, values, engine_backend="compiled", workspace=ws,
-        )
+        solve_prepost_arrays(seg, values, engine_backend="compiled")
 
     max_t = min(cpus, compiled.max_threads())
     threads = sorted({1, 2, 4, max_t} & set(range(1, max_t + 1)))
@@ -180,16 +175,12 @@ def measure_allocations(n: int) -> Dict[str, float]:
     trace = _zipf_trace(n)
     seg = _root_segments(trace)
     values = np.zeros(trace.size + 1, dtype=np.int64)
-    ws = Workspace()
     out: Dict[str, float] = {"n": n}
 
     for backend in ("naive", "fused"):
         def once():
             values.fill(0)
-            solve_prepost_arrays(
-                seg, values, engine_backend=backend,
-                workspace=ws if backend == "fused" else None,
-            )
+            solve_prepost_arrays(seg, values, engine_backend=backend)
 
         once()  # steady state: workspace primed, numpy pools warm
         tracemalloc.start()
@@ -220,12 +211,11 @@ def _batch_traces(k: int, n: int) -> List[np.ndarray]:
 def _batch_child(mode: str, k: int = BATCH_K, n: int = BATCH_N) -> float:
     """Min-of-``REPEATS`` seconds for one side, in the current process."""
     traces = _batch_traces(k, n)
-    ws = Workspace()
     if mode == "batch":
-        fn = lambda: iaf_distances_batch(traces, workspace=ws)  # noqa: E731
+        fn = lambda: iaf_distances_batch(traces)  # noqa: E731
     else:
         fn = lambda: [iaf_distances(t) for t in traces]  # noqa: E731
-    fn()  # warm up (and prime the workspace)
+    fn()  # warm up (and size the thread's workspace)
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()

@@ -53,7 +53,6 @@ from .core import (
     OnlineCurveAnalyzer,
     SolveConfig,
     SolveResult,
-    Workspace,
     analyze_stream,
     bounded_iaf,
     chunked_iaf,
@@ -76,7 +75,7 @@ from .core import (
 from .errors import ReproError
 from .obs import Counters, Tracer, get_tracer, tracing
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -91,7 +90,6 @@ __all__ = [
     "OnlineCurveAnalyzer",
     "SolveConfig",
     "SolveResult",
-    "Workspace",
     "analyze_stream",
     "ReproError",
     "SUPPORTED_DTYPES",

@@ -321,27 +321,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "analyze takes one trace file unless --batch is given"
         )
     trace = read_trace(args.trace[0])
+    cfg = SolveConfig(
+        algorithm=args.algorithm,
+        max_cache_size=args.max_cache_size,
+        workers=args.workers,
+        engine_backend=args.engine_backend,
+        chunk_size=args.chunk_size,
+    )
     profile_events = None
     t0 = time.perf_counter()
     if getattr(args, "profile", False):
         from .obs.profile import profile_hit_rate_curve
 
-        result = profile_hit_rate_curve(
-            trace,
-            algorithm=args.algorithm,
-            max_cache_size=args.max_cache_size,
-            workers=args.workers,
-        )
+        result = profile_hit_rate_curve(trace, cfg)
         curve = result.curve
         profile_events = result.events
     else:
-        curve = solve(trace, SolveConfig(
-            algorithm=args.algorithm,
-            max_cache_size=args.max_cache_size,
-            workers=args.workers,
-            engine_backend=args.engine_backend,
-            chunk_size=args.chunk_size,
-        )).curve
+        curve = solve(trace, cfg).curve
     elapsed = time.perf_counter() - t0
     _report_curve(
         curve, args,
@@ -378,9 +374,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     result = profile_hit_rate_curve(
         trace,
-        algorithm=args.algorithm,
-        max_cache_size=args.max_cache_size,
-        workers=args.workers,
+        SolveConfig(
+            algorithm=args.algorithm,
+            max_cache_size=args.max_cache_size,
+            workers=args.workers,
+        ),
         capacity=args.capacity or DEFAULT_CAPACITY,
     )
     if args.trace_out:

@@ -16,7 +16,6 @@ from .engine import (
     ENGINE_BACKENDS,
     EngineStats,
     Segments,
-    Workspace,
     batch_segments,
     iaf_distances,
     iaf_distances_batch,
@@ -99,7 +98,6 @@ __all__ = [
     "ENGINE_BACKENDS",
     "EngineStats",
     "Segments",
-    "Workspace",
     "batch_segments",
     "iaf_distances",
     "iaf_distances_batch",

@@ -113,8 +113,7 @@ def _solve_dispatch(
         stats = EngineStats()
     if algorithm == "iaf":
         d = iaf_distances(arr, dtype=dtype, stats=stats,
-                          engine_backend=cfg.engine_backend,
-                          workspace=cfg.workspace)
+                          engine_backend=cfg.engine_backend)
         return _postprocess_curve(arr, d), d, stats
     if algorithm == "bounded-iaf":
         res = bounded_iaf(arr, cfg.max_cache_size, dtype=dtype, stats=stats,
@@ -124,8 +123,7 @@ def _solve_dispatch(
         from .chunked import chunked_iaf
 
         res = chunked_iaf(arr, cfg.chunk_size, dtype=dtype, stats=stats,
-                          engine_backend=cfg.engine_backend,
-                          workspace=cfg.workspace)
+                          engine_backend=cfg.engine_backend)
         return res.curve, None, stats
     if algorithm == "parallel-iaf":
         d = parallel_iaf_distances(arr, workers=cfg.workers, dtype=dtype,
@@ -207,7 +205,7 @@ def solve_batch(
     if algorithm == "iaf":
         distances = iaf_distances_batch(
             arrs, dtype=cfg.dtype, stats=stats,
-            engine_backend=cfg.engine_backend, workspace=cfg.workspace,
+            engine_backend=cfg.engine_backend,
         )
     else:
         distances = parallel_iaf_distances_batch(
@@ -273,8 +271,7 @@ def stack_distances(
     arr = as_trace(trace, dtype=dtype)
     if cfg.algorithm == "iaf":
         d = iaf_distances(arr, dtype=dtype,
-                          engine_backend=cfg.engine_backend,
-                          workspace=cfg.workspace)
+                          engine_backend=cfg.engine_backend)
     elif cfg.algorithm == "parallel-iaf":
         d = parallel_iaf_distances(arr, workers=cfg.workers, dtype=dtype,
                                    engine_backend=cfg.engine_backend)

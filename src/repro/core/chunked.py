@@ -62,8 +62,7 @@ from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
 from ..errors import CapacityError, ReproError
 from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
-from .engine import EngineStats, Workspace, iaf_distances, \
-    resolve_engine_backend
+from .engine import EngineStats, iaf_distances, resolve_engine_backend
 from .hitrate import HitRateCurve, curve_from_forward_distances
 from .prevnext import last_access_carryover, prev_next_arrays
 
@@ -115,10 +114,10 @@ class ChunkedIAF:
     carry to the ``k`` most recent living requests and solves chunks
     into ``truncated_at=k`` curves — the BOUNDED-IAF regime.
 
-    ``workspace`` is an optional fused-kernel
-    :class:`~repro.core.engine.Workspace` shared across the per-chunk
-    solves (one is created internally for the fused backend); like every
-    workspace it must not be used by two solves concurrently.
+    An engine owns no level buffers: each chunk solve runs in the
+    calling thread's :func:`~repro.core.engine.thread_workspace`, so any
+    number of engines (one per tenant) pushed from one thread share one
+    pool, and :attr:`state_nbytes` is all the memory an engine keeps.
     """
 
     def __init__(
@@ -130,7 +129,6 @@ class ChunkedIAF:
         engine_backend: Optional[str] = None,
         stats: Optional[EngineStats] = None,
         memory: Optional[MemoryModel] = None,
-        workspace: Optional[Workspace] = None,
         span_name: str = "chunked.chunk",
     ) -> None:
         if max_cache_size is not None and max_cache_size < 1:
@@ -150,9 +148,6 @@ class ChunkedIAF:
         self._stats = stats
         self._memory = memory
         self._span_name = span_name
-        if workspace is None and self._backend != "naive":
-            workspace = Workspace()
-        self._workspace = workspace
         self._living_addrs = np.zeros(0, dtype=self._dtype)
         self._living_last = np.zeros(0, dtype=np.int64)
         self._pending: List[np.ndarray] = []
@@ -392,8 +387,7 @@ class ChunkedIAF:
         # Reversal duality: the backward distances of the reversed trace,
         # reversed, are the forward distances of the original.
         d_rev = iaf_distances(solved[::-1], dtype=self._dtype,
-                              stats=self._stats, engine_backend=self._backend,
-                              workspace=self._workspace)
+                              stats=self._stats, engine_backend=self._backend)
         f = d_rev[::-1][r:]
         prev_chunk = prev[r:]
         carried = (prev_chunk >= 0) & (prev_chunk < r)
@@ -447,7 +441,6 @@ def chunked_iaf(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
-    workspace: Optional[Workspace] = None,
 ) -> ChunkedResult:
     """One-shot exact chunked solve (the ``algorithm="chunked-iaf"`` tier).
 
@@ -458,7 +451,7 @@ def chunked_iaf(
     arr = as_trace(trace, dtype=dtype)
     engine = ChunkedIAF(
         chunk_size, dtype=dtype, engine_backend=engine_backend,
-        stats=stats, memory=memory, workspace=workspace,
+        stats=stats, memory=memory,
     )
     size = engine.chunk_size
     # Feed in chunk-size runs so the full trace is never re-buffered.

@@ -31,12 +31,7 @@ import numpy as np
 from .._typing import SUPPORTED_DTYPES
 from ..errors import CapacityError, ReproError
 from ..extmem.blockdevice import MemoryConfig
-from .engine import (
-    ENGINE_BACKENDS,
-    EngineStats,
-    Workspace,
-    resolve_engine_backend,
-)
+from .engine import ENGINE_BACKENDS, EngineStats, resolve_engine_backend
 from .hitrate import HitRateCurve
 
 #: Algorithms usable with :func:`repro.core.api.hit_rate_curve` /
@@ -56,8 +51,8 @@ ALGORITHMS = (
     "fenwick",
 )
 
-#: Algorithms built on the vectorized engine (honor ``stats=``,
-#: ``engine_backend=``, and workspace reuse).
+#: Algorithms built on the vectorized engine (honor ``stats=`` and
+#: ``engine_backend=``).
 ENGINE_ALGORITHMS = ("iaf", "bounded-iaf", "chunked-iaf", "parallel-iaf")
 
 #: Algorithms whose requests may be coalesced into one batched level
@@ -71,18 +66,19 @@ class SolveConfig:
 
     ``dtype=None`` means "the library default" — ``int64`` for single
     solves, automatic narrowing certification for batched solves (see
-    :func:`repro.core.engine.batch_segments`).  ``workspace`` is a
-    reusable fused-kernel :class:`~repro.core.engine.Workspace`; sharing
-    one across *sequential* solves amortizes level buffers, but a
-    workspace must never be used by two solves concurrently (the serving
-    layer keeps one per worker thread).  ``chunk_size`` is the per-chunk
-    run length of ``chunked-iaf`` (``None`` means the module default,
+    :func:`repro.core.engine.batch_segments`).  ``chunk_size`` is the
+    per-chunk run length of ``chunked-iaf`` (``None`` means the module default,
     :data:`repro.core.chunked.DEFAULT_CHUNK_SIZE`); the result is
     bit-identical for every value, only the working set changes.  Other
     algorithms ignore it.  ``engine_backend=None`` means "the process
     default" (``REPRO_ENGINE_BACKEND`` or ``"fused"``); ``"compiled"``
     degrades to ``"fused"`` with one warning when numba is unavailable
     (see :func:`repro.core.engine.resolve_engine_backend`).
+
+    A config holds values only, never scratch state: the engine's level
+    buffers belong to the solving thread
+    (:func:`repro.core.engine.thread_workspace`), so one config can be
+    shared by any number of concurrent solves.
     """
 
     algorithm: str = "iaf"
@@ -92,9 +88,6 @@ class SolveConfig:
     memory_config: Optional[MemoryConfig] = None
     engine_backend: Optional[str] = None
     chunk_size: Optional[int] = None
-    workspace: Optional[Workspace] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -152,10 +145,7 @@ class SolveConfig:
     @property
     def batchable(self) -> bool:
         """Whether requests with this config can ride a coalesced solve."""
-        return (
-            self.algorithm in BATCHABLE_ALGORITHMS
-            and self.workspace is None
-        )
+        return self.algorithm in BATCHABLE_ALGORITHMS
 
 
 @dataclass

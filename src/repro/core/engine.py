@@ -49,12 +49,20 @@ The module exposes three layers:
   intervals, so one level loop carries all of them (the serving-
   throughput form: many small curve requests amortize every vectorized
   pass).
+
+Scratch buffers belong to the solving thread: every fused or compiled
+level loop runs in :func:`thread_workspace`, one :class:`Workspace` per
+thread, created on first use and kept for the thread's life.  No caller
+passes or owns one, so two threads never share a buffer and one thread's
+consecutive solves (a service worker's requests, a tenant engine's
+chunks) reuse the same pool.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -254,25 +262,28 @@ class Segments:
 
 
 class Workspace:
-    """Reusable, geometrically-grown buffer pool for the fused kernel.
+    """Reusable, geometrically-grown buffer pool for the fused and
+    compiled kernels.
 
     One instance double-buffers the per-level operation arrays: level
     ``L`` reads its input from side ``L % 2 ^ 1`` and writes its children
     into side ``L % 2``, so steady-state levels perform **zero** fresh
-    array allocations.  A workspace can be reused across solves (the
-    serving pattern: one long-lived workspace per worker absorbs every
-    request's level churn after warm-up).
+    array allocations.  Buffers are keyed by ``(name, dtype)``: an
+    ``int32``-certified batch and an ``int64`` chunk solve on one thread
+    keep separate buffers instead of reallocating each other's.  Solves
+    get their pool from :func:`thread_workspace`; a workspace must never
+    serve two solves at once.
 
-    ``grow_events`` records every (re)allocation as ``(level, name,
-    nbytes)`` — the workspace-reuse tests assert it goes quiet after the
-    first levels, and benchmarks report it as the steady-state allocation
+    ``grow_events`` records every allocation as ``(level, name,
+    nbytes)`` — the workspace tests assert it goes quiet after the first
+    levels, and benchmarks report it as the steady-state allocation
     count.
     """
 
     __slots__ = ("_buffers", "grow_events", "_arange_filled", "acc_dtype")
 
     def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
+        self._buffers: Dict[Tuple[str, np.dtype], np.ndarray] = {}
         self.grow_events: List[Tuple[int, str, int]] = []
         self._arange_filled = 0
         self.acc_dtype = np.dtype(np.int64)
@@ -282,19 +293,14 @@ class Workspace:
         """A length-``size`` view of the named buffer, growing if needed.
 
         Growth doubles capacity (with a small floor) so a monotone ramp
-        of requests triggers O(log) reallocations total; a dtype change
-        reallocates at the requested size.
+        of requests triggers O(log) reallocations total.
         """
-        dt = np.dtype(dtype)
-        buf = self._buffers.get(name)
-        if buf is None or buf.dtype != dt or buf.size < size:
-            if buf is not None and buf.dtype == dt:
-                cap = max(size, 2 * buf.size)
-            else:
-                cap = size
-            cap = max(cap, 64)
-            buf = np.empty(cap, dtype=dt)
-            self._buffers[name] = buf
+        key = (name, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            cap = size if buf is None else max(size, 2 * buf.size)
+            buf = np.empty(max(cap, 64), dtype=key[1])
+            self._buffers[key] = buf
             self.grow_events.append((level, name, buf.nbytes))
         return buf[:size]
 
@@ -316,7 +322,7 @@ class Workspace:
         """
         buf = self.array("arange", size, np.int64, level)
         if size > self._arange_filled:
-            full = self._buffers["arange"]
+            full = self._buffers[("arange", buf.dtype)]
             full.fill(1)
             full[0] = 0
             np.cumsum(full, out=full)
@@ -445,6 +451,23 @@ class Workspace:
             self.array(f"starts{side}", seg_cap, np.int64)
             self.array(f"lo{side}", seg_cap, np.int64)
             self.array(f"hi{side}", seg_cap, np.int64)
+
+
+_THREAD = threading.local()
+
+
+def thread_workspace() -> Workspace:
+    """The calling thread's :class:`Workspace`, created on first use.
+
+    Every fused or compiled level loop runs in it, so the pool lives as
+    long as its thread and is sized by that thread's largest solve.
+    Threads never share one, which is what makes concurrent solves safe
+    without any caller coordination.
+    """
+    ws = getattr(_THREAD, "workspace", None)
+    if ws is None:
+        ws = _THREAD.workspace = Workspace()
+    return ws
 
 
 def _solve_leaves(
@@ -1333,7 +1356,6 @@ def solve_prepost_arrays(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
-    workspace: Optional[Workspace] = None,
 ) -> None:
     """Run the level-synchronous recursion until every segment is solved.
 
@@ -1343,10 +1365,9 @@ def solve_prepost_arrays(
     ``engine_backend`` selects the level kernel (``"fused"``,
     ``"naive"``, or ``"compiled"``; all bit-identical — see the module
     docstring; ``None`` means the process default per
-    :func:`resolve_engine_backend`); ``workspace`` supplies a reusable
-    :class:`Workspace` for the fused/compiled kernels (one is created
-    per call when omitted; passing a long-lived one amortizes level
-    buffers across many solves).
+    :func:`resolve_engine_backend`).  The fused and compiled kernels run
+    in the calling thread's :func:`thread_workspace`, so ``seg`` must not
+    be a view of that workspace's buffers.
 
     When the current :mod:`repro.obs` tracer is enabled, every recursion
     level emits an ``engine.level`` span (attrs: level index, segment and
@@ -1355,9 +1376,9 @@ def solve_prepost_arrays(
     """
     backend = resolve_engine_backend(engine_backend)
     fused = backend == "fused"
+    workspace = None
     if backend != "naive":
-        if workspace is None:
-            workspace = Workspace()
+        workspace = thread_workspace()
         workspace.prime(seg, backend=backend)
     tracer = get_tracer()
     traced = tracer.enabled
@@ -1411,7 +1432,6 @@ def iaf_distances(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
-    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Backward distance vector of ``trace`` via the vectorized engine.
 
@@ -1438,8 +1458,7 @@ def iaf_distances(
             if traced else NULL_SPAN)
     with span:
         solve_prepost_arrays(seg, values, stats=stats, memory=memory,
-                             engine_backend=engine_backend,
-                             workspace=workspace)
+                             engine_backend=engine_backend)
     if memory is not None:
         memory.free("engine.trace", int(arr.nbytes))
     return values[1:]
@@ -1452,12 +1471,11 @@ def iaf_hit_rate_curve(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
-    workspace: Optional[Workspace] = None,
 ) -> HitRateCurve:
     """Full pipeline: pre-process, distance computation, post-process."""
     arr = as_trace(trace, dtype=dtype)
     d = iaf_distances(arr, dtype=dtype, stats=stats, memory=memory,
-                      engine_backend=engine_backend, workspace=workspace)
+                      engine_backend=engine_backend)
     tracer = get_tracer()
     span = (tracer.span("iaf.postprocess", n=arr.size)
             if tracer.enabled else NULL_SPAN)
@@ -1546,7 +1564,6 @@ def iaf_distances_batch(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
-    workspace: Optional[Workspace] = None,
 ) -> List[np.ndarray]:
     """Backward distance vectors of ``k`` independent traces in one solve.
 
@@ -1574,8 +1591,7 @@ def iaf_distances_batch(
     )
     with span:
         solve_prepost_arrays(seg, values, stats=stats, memory=memory,
-                             engine_backend=engine_backend,
-                             workspace=workspace)
+                             engine_backend=engine_backend)
     if memory is not None:
         memory.free("engine.trace", int(sum(a.nbytes for a in arrs)))
     return [
@@ -1590,7 +1606,6 @@ def iaf_hit_rate_curves_batch(
     dtype: Optional["np.typing.DTypeLike"] = None,
     stats: Optional[EngineStats] = None,
     engine_backend: Optional[str] = None,
-    workspace: Optional[Workspace] = None,
 ) -> List[HitRateCurve]:
     """Exact LRU hit-rate curves of ``k`` traces in one batched solve.
 
@@ -1601,8 +1616,7 @@ def iaf_hit_rate_curves_batch(
     arrs = [as_trace(t, dtype=DEFAULT_DTYPE if dtype is None else dtype)
             for t in traces]
     distances = iaf_distances_batch(arrs, dtype=dtype, stats=stats,
-                                    engine_backend=engine_backend,
-                                    workspace=workspace)
+                                    engine_backend=engine_backend)
     curves: List[HitRateCurve] = []
     for arr, d in zip(arrs, distances):
         if arr.size == 0:

@@ -34,8 +34,8 @@ from ..errors import ExternalMemoryError
 from ..extmem.blockdevice import BlockDevice, ExternalFile, MemoryConfig
 from ..obs import NULL_SPAN, get_tracer
 from ..extmem.iostats import IOStats
-from .engine import Segments, Workspace, _shrink_child, \
-    resolve_engine_backend, solve_prepost_arrays
+from .engine import Segments, _shrink_child, resolve_engine_backend, \
+    solve_prepost_arrays
 from .hitrate import HitRateCurve
 from .ops import POSTFIX, PREFIX, prepost_sequence_arrays
 
@@ -133,11 +133,6 @@ class _ExternalSolver:
         self.values = values
         self.report = report
         self.engine_backend = resolve_engine_backend(engine_backend)
-        # One workspace serves every base case: the in-memory solves all
-        # fit the same M-bounded shape, so after the first their level
-        # buffers are reused.
-        self.workspace = (Workspace() if self.engine_backend != "naive"
-                          else None)
         self._name_counter = 0
 
     def _fresh_name(self) -> str:
@@ -196,9 +191,10 @@ class _ExternalSolver:
                     f"violated?"
                 )
             seg = Segments.single(kind, t, r, lo, hi)
+            # Every base case fits the same M-bounded shape, so after
+            # the first one the thread's workspace serves them all.
             solve_prepost_arrays(seg, self.values,
-                                 engine_backend=self.engine_backend,
-                                 workspace=self.workspace)
+                                 engine_backend=self.engine_backend)
             # Distance entries stream to external memory (charged per
             # block).
             self.out.append(self.values[lo : hi + 1])

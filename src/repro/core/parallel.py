@@ -99,12 +99,14 @@ def _warmup_levels(
     """Serial warm-up: split until there are enough independent subtrees.
 
     Returns the segment batch ready for splitting, or ``None`` when the
-    recursion bottomed out entirely during warm-up (tiny traces).  With
-    the fused backend the warm-up levels get their own workspace; its
-    buffers stay alive as the split parts' backing storage while the
-    worker solves (each with a per-part workspace) read from them.
+    recursion bottomed out entirely during warm-up (tiny traces).
     """
     backend = resolve_engine_backend(engine_backend)
+    # The one workspace outside repro.core.engine.thread_workspace: the
+    # returned batch, and so every split part, is a view of this pool's
+    # last level.  The executor's degrade rung solves parts on this very
+    # thread, and that solve primes the thread's workspace; sharing it
+    # would overwrite the part's own backing storage mid-solve.
     workspace: Optional[Workspace] = None
     level = 0
     while 0 < seg.n_segments < 4 * workers and workers > 1:

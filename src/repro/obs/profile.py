@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 import numpy as np
 
 from .counters import Counters
 from .span import DEFAULT_CAPACITY, SpanEvent, Tracer, tracing
+
+if TYPE_CHECKING:
+    from ..core.config import SolveConfig
 
 
 @dataclass
@@ -51,37 +54,32 @@ class ProfileResult:
 
 def profile_hit_rate_curve(
     trace: "np.typing.ArrayLike",
+    config: Optional[SolveConfig] = None,
     *,
-    algorithm: str = "iaf",
-    max_cache_size: Optional[int] = None,
-    workers: int = 1,
-    dtype: "np.typing.DTypeLike" = None,
     capacity: int = DEFAULT_CAPACITY,
     tracer: Optional[Tracer] = None,
 ) -> ProfileResult:
-    """Run one algorithm with tracing on; return curve + observability.
+    """Run one solve with tracing on; return curve + observability.
 
-    A caller-supplied ``tracer`` lets long-lived monitors accumulate
-    several runs into one buffer; by default each call gets a fresh
-    ring of ``capacity`` events.
+    ``config`` is the :class:`~repro.core.config.SolveConfig` the run
+    solves with (``None`` means the default config), so a profiled run
+    honors every knob an unprofiled :func:`repro.solve` would.  A
+    caller-supplied ``tracer`` lets long-lived monitors accumulate
+    several runs into one buffer; by default each call gets a fresh ring
+    of ``capacity`` events.
     """
     # Local imports: core modules import repro.obs at load time.
-    from .._typing import DEFAULT_DTYPE
     from ..core.api import solve
     from ..core.config import SolveConfig
     from ..core.engine import EngineStats
 
-    dt = DEFAULT_DTYPE if dtype is None else dtype
+    config = config if config is not None else SolveConfig()
     arr = np.asarray(trace)
     stats = EngineStats()
-    config = SolveConfig(
-        algorithm=algorithm, max_cache_size=max_cache_size,
-        workers=workers, dtype=dt,
-    )
     with tracing(capacity=capacity, tracer=tracer) as t:
         t0 = time.perf_counter()
-        with t.span("profile.run", algorithm=algorithm, n=int(arr.size),
-                    workers=workers):
+        with t.span("profile.run", algorithm=config.algorithm,
+                    n=int(arr.size), workers=config.workers):
             curve = solve(arr, config, stats=stats).curve
         wall = time.perf_counter() - t0
     counters = Counters()
@@ -92,7 +90,7 @@ def profile_hit_rate_curve(
         counters = counters.merge(Counters.from_engine_stats(stats))
     return ProfileResult(
         curve=curve,
-        algorithm=algorithm,
+        algorithm=config.algorithm,
         n=int(arr.size),
         wall_seconds=wall,
         events=t.events(),

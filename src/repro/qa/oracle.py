@@ -263,11 +263,13 @@ def run_case_detailed(case: FuzzCase) -> OracleReport:
         )
     check_curve("tenant-exact", lambda: _tenant_curve(case), full_kmax)
     _check_sampled(report, case, exact)
-    # Unconditional: the cluster's shard backends route oversized solves
-    # through the executor, so the differential harness must cover the
-    # process-iaf tier on *every* case, not just when the config drew
-    # process workers for the distance oracles.  (With shared memory
-    # unavailable the solve degrades in-process and still must match.)
+    # Unconditional: this row is the only end-to-end check of the process
+    # executor through solve() (shards rewrite oversized iaf requests to
+    # chunked-iaf; processes run only when a request asks for
+    # process-iaf), so it runs on *every* case, not just when the config
+    # drew process workers for the distance oracles.  (With shared
+    # memory unavailable the solve degrades in-process and still must
+    # match.)
     check_curve("process-iaf", lambda: _process_curve(case), full_kmax)
     if n <= TREE_BASELINE_MAX_N:
         for baseline in ("ost", "splay", "fenwick"):

@@ -166,12 +166,12 @@ def sample_config(
     rng: np.random.Generator, n: int, *, profile: str = "quick"
 ) -> FuzzConfig:
     """Draw one configuration; expensive knobs scale with the profile."""
-    # The ring's shard backends lean on the executor path, so the fuzz
-    # profiles draw it often: every run also pins one unconditional
-    # process-iaf oracle row (see oracle.py); this knob additionally
-    # covers the process-pool *distance* oracles.  Only the comparison
-    # threshold changed — the draw itself stays in the historical rng
-    # stream position, so seeded cases keep their traces.
+    # Every case also pins one unconditional process-iaf oracle row
+    # (see oracle.py), the only end-to-end check of the executor through
+    # solve(); this knob additionally covers the process-pool *distance*
+    # oracles.  Only the comparison threshold changed — the draw itself
+    # stays in the historical rng stream position, so seeded cases keep
+    # their traces.
     proc_p = 0.2 if profile == "quick" else 0.5
     return FuzzConfig(
         workers=int(rng.choice(WORKER_CHOICES)),

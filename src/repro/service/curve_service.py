@@ -14,9 +14,10 @@ behind, the queue fills and :meth:`CurveService.submit` starts rejecting
 :class:`~repro.errors.ServiceOverloadedError`, never as unbounded
 memory.
 
-Every worker thread keeps its own fused-kernel
-:class:`~repro.core.engine.Workspace`, so consecutive solves on one
-worker reuse level buffers without any cross-thread sharing.
+Each pool thread solves in its own engine workspace
+(:func:`repro.core.engine.thread_workspace`), so consecutive solves on
+one worker reuse level buffers and no two workers ever share one; the
+service itself holds no scratch state.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .._typing import DEFAULT_DTYPE, TraceLike, as_trace
 from ..core.api import _truncate, solve, solve_batch
 from ..core.config import SolveConfig, SolveResult
-from ..core.engine import Workspace, resolve_engine_backend
 from ..errors import (
     CapacityError,
     DeadlineExceededError,
@@ -135,7 +135,6 @@ class CurveService:
         # submit() rejects — backpressure instead of an unbounded pool
         # queue.
         self._slots = threading.Semaphore(2 * workers)
-        self._local = threading.local()
         self._closing = threading.Event()
         self._stopping = threading.Event()
         # The dispatcher checks _paused under _gate before every dequeue
@@ -433,23 +432,6 @@ class CurveService:
 
     # -- worker side --------------------------------------------------
 
-    def _workspace(self) -> Workspace:
-        ws = getattr(self._local, "workspace", None)
-        if ws is None:
-            ws = Workspace()
-            self._local.workspace = ws
-        return ws
-
-    def _with_workspace(self, cfg: SolveConfig) -> SolveConfig:
-        """Attach this worker's workspace where the engine can use it."""
-        if (
-            cfg.algorithm == "iaf"
-            and resolve_engine_backend(cfg.engine_backend) != "naive"
-            and cfg.workspace is None
-        ):
-            return cfg.replace(workspace=self._workspace())
-        return cfg
-
     def _run_single(self, req: _Request, shard: bool = False) -> None:
         cfg = req.config
         if shard:
@@ -457,13 +439,9 @@ class CurveService:
             # the working set at O(u + chunk) regardless of trace
             # length, so one oversized request cannot blow the service's
             # memory the way a full-trace solve would.
-            cfg = cfg.replace(
-                algorithm="chunked-iaf", chunk_size=None, workspace=None,
-            )
+            cfg = cfg.replace(algorithm="chunked-iaf", chunk_size=None)
             with self._lock:
                 self.counters.add("service.sharded")
-        else:
-            cfg = self._with_workspace(cfg)
         tracer = get_tracer()
         span = (
             tracer.span("service.request", n=int(req.arr.size),
@@ -493,9 +471,7 @@ class CurveService:
         self._finish(req, result=result)
 
     def _run_batch(self, reqs: List[_Request]) -> None:
-        base = self._with_workspace(
-            reqs[0].config.replace(max_cache_size=None)
-        )
+        base = reqs[0].config.replace(max_cache_size=None)
         arrs = [r.arr for r in reqs]
         tracer = get_tracer()
         span = (

@@ -109,6 +109,30 @@ class TestAnalyzeProfile:
         profiled = capsys.readouterr().out
         assert profiled == plain  # csv output has no span table appended
 
+    def test_profile_flag_keeps_every_solve_flag(self, trace_file, capsys,
+                                                 monkeypatch):
+        """Regression: --profile solved with only algorithm, k and
+        workers, so --engine-backend and --chunk-size were dropped."""
+        import repro.obs.profile as profile
+
+        runs = []
+        real = profile.profile_hit_rate_curve
+
+        def spy(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(profile, "profile_hit_rate_curve", spy)
+        assert main(["analyze", str(trace_file), "--profile",
+                     "--engine-backend", "naive"]) == 0
+        assert main(["analyze", str(trace_file), "--profile",
+                     "--algorithm", "chunked-iaf", "--chunk-size", "500"]) == 0
+        capsys.readouterr()
+        solves = [e for e in runs[0].events if e.name == "iaf.solve"]
+        assert [e.attrs["backend"] for e in solves] == ["naive"]
+        chunks = [e for e in runs[1].events if e.name == "chunked.chunk"]
+        assert len(chunks) == 4  # 2 000 accesses in chunks of 500
+
 
 class TestCompare:
     def test_agreeing_algorithms(self, trace_file, capsys):

@@ -1,4 +1,5 @@
-"""Fused-vs-naive backend equivalence, workspace reuse, and batch solving.
+"""Fused-vs-naive backend equivalence, per-thread workspaces, and batch
+solving.
 
 The fused partition kernel (``engine_backend="fused"``) must be
 *bit-identical* to the reference two-pass pipeline it replaced
@@ -7,11 +8,17 @@ unit and weighted, every dtype — and the batched multi-trace entry
 points must reproduce the per-trace loop exactly.
 """
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.chunked import ChunkedIAF, chunked_iaf
+from repro.core.config import SolveConfig
 from repro.core.engine import (
     ENGINE_BACKENDS,
     EngineStats,
@@ -24,6 +31,7 @@ from repro.core.engine import (
     iaf_hit_rate_curve,
     iaf_hit_rate_curves_batch,
     solve_prepost_arrays,
+    thread_workspace,
 )
 from repro.core.ops import prepost_sequence_arrays
 from repro.core.parallel import (
@@ -43,9 +51,28 @@ from ..conftest import small_traces
 SWEEP_SEEDS = list(range(16))
 
 
-def _solve(trace, backend, dtype=np.int64, workspace=None):
-    return iaf_distances(trace, dtype=dtype, engine_backend=backend,
-                         workspace=workspace)
+def _solve(trace, backend, dtype=np.int64):
+    return iaf_distances(trace, dtype=dtype, engine_backend=backend)
+
+
+def _on_fresh_thread(fn):
+    """``fn()`` run on a new thread, so it starts with an empty workspace;
+    returns its result and re-raises its exception."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 — re-raised below
+            out["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "solve thread did not finish"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class TestBackendEquivalence:
@@ -135,8 +162,12 @@ class TestWorkspace:
     def test_no_growth_after_level_two(self):
         """The fused level loop allocates nothing past the first levels."""
         trace = np.random.default_rng(11).integers(0, 5000, size=1 << 15)
-        ws = Workspace()
-        iaf_distances(trace, workspace=ws)
+
+        def solve():
+            iaf_distances(trace)
+            return thread_workspace()
+
+        ws = _on_fresh_thread(solve)
         assert ws.grow_events, "primed workspace should record allocations"
         assert max(ws.grow_levels()) <= 2, (
             f"late workspace growth at levels {sorted(set(ws.grow_levels()))}"
@@ -144,22 +175,135 @@ class TestWorkspace:
 
     def test_reuse_across_solves_no_new_allocations(self):
         rng = np.random.default_rng(12)
-        ws = Workspace()
-        trace = rng.integers(0, 2000, size=1 << 14)
-        iaf_distances(trace, workspace=ws)
-        warm = len(ws.grow_events)
-        for _ in range(3):
-            t = rng.integers(0, 2000, size=1 << 14)
-            assert np.array_equal(iaf_distances(t, workspace=ws),
-                                  iaf_distances(t))
-        assert len(ws.grow_events) == warm
+        traces = [rng.integers(0, 2000, size=1 << 14) for _ in range(4)]
+        want = [iaf_distances(t, engine_backend="naive") for t in traces]
+
+        def solve():
+            ws = thread_workspace()
+            iaf_distances(traces[0])
+            warm = len(ws.grow_events)
+            got = [iaf_distances(t) for t in traces[1:]]
+            return got, len(ws.grow_events) - warm
+
+        got, grown = _on_fresh_thread(solve)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[1:]))
+        assert grown == 0
 
     def test_dtype_switch_reallocates_once(self):
+        """Each dtype keeps its own buffer: switching back costs nothing."""
         ws = Workspace()
-        ws.array("x", 100, np.int64)
-        ws.array("x", 100, np.int32)
-        ws.array("x", 100, np.int32)
+        for dt in (np.int64, np.int32, np.int32, np.int64):
+            ws.array("x", 100, dt)
         assert len(ws.grow_events) == 2
+
+
+class TestThreadWorkspace:
+    """Every fused/compiled solve runs in its thread's one workspace."""
+
+    def test_concurrent_threads_solve_in_their_own_workspaces(self):
+        rng = np.random.default_rng(13)
+        traces = [rng.integers(0, 300 + 50 * i, size=3000 + 211 * i)
+                  for i in range(24)]
+        want = [iaf_distances(t) for t in traces]
+        got = [None] * len(traces)
+        owners = [None] * 4
+        errors = []
+        start = threading.Barrier(4)
+
+        def run(w):
+            try:
+                start.wait()
+                for i in range(w * 6, (w + 1) * 6):
+                    got[i] = iaf_distances(traces[i])
+                owners[w] = thread_workspace()
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=run, args=(w,))
+                   for w in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the level loops finely
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors, errors
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len({id(ws) for ws in owners}) == 4
+        assert all(ws.grow_events for ws in owners)
+        assert all(ws is not thread_workspace() for ws in owners)
+
+    def test_int32_batch_and_int64_chunk_keep_their_buffers(self):
+        """An int32-certified batch and an int64 chunk solve alternating
+        on one thread stop reallocating each other's buffers."""
+        rng = np.random.default_rng(14)
+        batch = [rng.integers(0, 400, size=3000) for _ in range(4)]
+        assert batch_segments(batch)[1].r.dtype == np.int32
+        chunk = rng.integers(0, 400, size=2048)
+
+        def alternate():
+            ws = thread_workspace()
+            grown = []
+            for _round in range(2):
+                before = len(ws.grow_events)
+                iaf_distances_batch(batch)
+                ChunkedIAF(chunk.size).push(chunk)  # one int64 solve
+                grown.append(len(ws.grow_events) - before)
+            return grown
+
+        first, second = _on_fresh_thread(alternate)
+        assert first > 0
+        assert second == 0
+
+    def test_exact_tenants_add_no_workspaces(self):
+        """Eight exact tenants pushed from one thread share that thread's
+        workspace; each used to hold a pool of its own."""
+        from repro.tenants import TenantRegistry
+
+        def live_workspaces():
+            return sum(isinstance(o, Workspace) for o in gc.get_objects())
+
+        rng = np.random.default_rng(15)
+        before = live_workspaces()
+        registry = TenantRegistry()
+        pushed = {f"t{i}": [] for i in range(8)}
+        for tenant_id in pushed:
+            registry.register(tenant_id, chunk_size=1024)
+        for _round in range(3):
+            for tenant_id, parts in pushed.items():
+                part = rng.integers(0, 4096, size=1500)
+                registry.push(tenant_id, part)
+                parts.append(part)
+        assert live_workspaces() - before <= 1
+        for tenant_id, parts in pushed.items():
+            ref = iaf_hit_rate_curve(np.concatenate(parts))
+            got = registry.curve(tenant_id).exact_curve
+            assert np.array_equal(got.hits_cumulative, ref.hits_cumulative)
+
+    @pytest.mark.parametrize("call", [
+        lambda ws: SolveConfig(workspace=ws),
+        lambda ws: iaf_distances([1, 2, 1], workspace=ws),
+        lambda ws: iaf_hit_rate_curve([1, 2, 1], workspace=ws),
+        lambda ws: iaf_distances_batch([[1, 2, 1]], workspace=ws),
+        lambda ws: iaf_hit_rate_curves_batch([[1, 2, 1]], workspace=ws),
+        lambda ws: solve_prepost_arrays(
+            Segments.single(*prepost_sequence_arrays(np.array([1, 2, 1])),
+                            0, 3),
+            np.zeros(4, dtype=np.int64), workspace=ws,
+        ),
+        lambda ws: ChunkedIAF(8, workspace=ws),
+        lambda ws: chunked_iaf([1, 2, 1], 8, workspace=ws),
+    ], ids=["SolveConfig", "iaf_distances", "iaf_hit_rate_curve",
+            "iaf_distances_batch", "iaf_hit_rate_curves_batch",
+            "solve_prepost_arrays", "ChunkedIAF", "chunked_iaf"])
+    def test_workspace_keyword_is_gone(self, call):
+        with pytest.raises(TypeError, match="workspace"):
+            call(Workspace())
 
 
 class TestLogicalNbytes:

@@ -32,12 +32,12 @@ from repro.core.engine import (
     ENGINE_BACKENDS,
     EngineStats,
     Segments,
-    Workspace,
     iaf_distances,
     iaf_distances_batch,
     iaf_hit_rate_curve,
     resolve_engine_backend,
     solve_prepost_arrays,
+    thread_workspace,
 )
 from repro.core.parallel import parallel_iaf_distances
 from repro.core.prevnext import (
@@ -180,12 +180,10 @@ class TestBitIdentity:
     def test_workspace_goes_quiet_after_warmup(self, compiled_on):
         rng = np.random.default_rng(29)
         trace = (rng.zipf(1.2, size=8192) % 900).astype(np.int64)
-        ws = Workspace()
-        first = iaf_distances(trace, engine_backend="compiled",
-                              workspace=ws)
+        ws = thread_workspace()
+        first = iaf_distances(trace, engine_backend="compiled")
         grown = len(ws.grow_events)
-        second = iaf_distances(trace, engine_backend="compiled",
-                               workspace=ws)
+        second = iaf_distances(trace, engine_backend="compiled")
         assert np.array_equal(first, second)
         assert len(ws.grow_events) == grown, (
             "steady-state compiled solve must not allocate level buffers"

@@ -97,9 +97,7 @@ class TestBatchKey:
         assert SolveConfig().batchable
         assert SolveConfig(algorithm="parallel-iaf").batchable
         assert not SolveConfig(algorithm="ost").batchable
-        from repro.core.engine import Workspace
-
-        assert not SolveConfig(workspace=Workspace()).batchable
+        assert not SolveConfig(algorithm="chunked-iaf").batchable
 
 
 class TestSolve:

@@ -18,7 +18,7 @@ def trace() -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def result(trace) -> ProfileResult:
-    return profile_hit_rate_curve(trace, algorithm="iaf")
+    return profile_hit_rate_curve(trace, SolveConfig(algorithm="iaf"))
 
 
 class TestProfileRun:
@@ -81,9 +81,9 @@ class TestAlgorithmMatrix:
         ("splay", {}),
     ])
     def test_profiles_every_dispatch_family(self, trace, algorithm, kwargs):
-        res = profile_hit_rate_curve(trace, algorithm=algorithm, **kwargs)
-        plain = hit_rate_curve(trace,
-                               SolveConfig(algorithm=algorithm, **kwargs))
+        cfg = SolveConfig(algorithm=algorithm, **kwargs)
+        res = profile_hit_rate_curve(trace, cfg)
+        plain = hit_rate_curve(trace, cfg)
         assert np.array_equal(res.curve.hits_cumulative,
                               plain.hits_cumulative)
         validate_span_tree(res.events, allow_missing_parents=True)
@@ -98,7 +98,8 @@ class TestAlgorithmMatrix:
         assert expected in names
 
     def test_external_spans_attribute_io(self, trace):
-        res = profile_hit_rate_curve(trace, algorithm="external-iaf")
+        res = profile_hit_rate_curve(trace,
+                                     SolveConfig(algorithm="external-iaf"))
         base_cases = [e for e in res.events
                       if e.name == "external.base_case"]
         assert base_cases
@@ -113,8 +114,10 @@ class TestAlgorithmMatrix:
 
 class TestBufferAndTracerOptions:
     def test_tiny_capacity_counts_drops(self, trace):
-        res = profile_hit_rate_curve(trace, algorithm="bounded-iaf",
-                                     max_cache_size=16, capacity=4)
+        res = profile_hit_rate_curve(
+            trace, SolveConfig(algorithm="bounded-iaf", max_cache_size=16),
+            capacity=4,
+        )
         assert len(res.events) == 4
         assert res.dropped_events > 0
         assert res.counters.value("profile.dropped_spans") == \
@@ -126,3 +129,14 @@ class TestBufferAndTracerOptions:
         n1 = len(r1.events)
         r2 = profile_hit_rate_curve(trace, tracer=mine)
         assert len(r2.events) > n1  # both runs share the buffer
+
+
+class TestConfigOnly:
+    @pytest.mark.parametrize("keyword,value", [
+        ("algorithm", "iaf"), ("max_cache_size", 8), ("workers", 2),
+        ("dtype", np.int64),
+    ])
+    def test_solve_keywords_are_gone(self, keyword, value):
+        """The solve knobs travel in the SolveConfig, never as keywords."""
+        with pytest.raises(TypeError, match=keyword):
+            profile_hit_rate_curve([1, 2, 1], **{keyword: value})
