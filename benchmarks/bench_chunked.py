@@ -22,6 +22,9 @@ watermark:
   Each chunk solves only the living entries it references, so the
   accesses solved per access pushed, ``Σ(referenced + n) / Σn`` over the
   ``chunked.chunk`` spans, stays at most 2 however large the carry.
+  Each solved access is sorted once: the accesses sorted per access
+  pushed, ``Σ(accesses sorted) / Σn`` counted by
+  :func:`repro.qa.count_sorts`, equals that amplification.
 * **tenants** — 16 exact tenants of one
   :class:`~repro.tenants.TenantRegistry`, all pushed from one thread:
   10 rounds of one 20 000-access Zipf-1.1 push per tenant over
@@ -41,7 +44,9 @@ Acceptance bars (recorded in ``BENCH_chunked.json``):
   the carried ``state_nbytes`` stays flat;
 * chunked throughput at the default chunk stays within
   ``THROUGHPUT_FLOOR`` of the batch engine;
-* the wide arm's amplification is at most ``AMPLIFICATION_CAP``;
+* the wide arm's amplification is at most ``AMPLIFICATION_CAP``, and
+  its accesses sorted per access pushed equal its amplification (one
+  sort per solved access);
 * every tenant's curve matches the batch engine.
 
 Runs two ways: under pytest like the sibling benches, or as a script
@@ -183,9 +188,10 @@ def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
     else:
         from repro.core.chunked import ChunkedIAF
         from repro.obs import tracing
+        from repro.qa import count_sorts
 
         engine = ChunkedIAF(chunk)
-        with tracing() as tracer:
+        with tracing() as tracer, count_sorts() as sorted_sizes:
             for i, batch in enumerate(stream, 1):
                 engine.push(batch)
                 if i % WIDE_QUERY_EVERY == 0:
@@ -200,6 +206,9 @@ def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
             "amplification": (
                 sum(a["referenced"] + a["n"] for a in spans) / pushed
                 if pushed else 0.0
+            ),
+            "sorts_per_access": (
+                sum(sorted_sizes) / pushed if pushed else 0.0
             ),
         }
     seconds = time.perf_counter() - t0
@@ -319,6 +328,13 @@ def verify(results: Dict[str, object]) -> List[str]:
                 f"{point['amplification']:.2f} accesses per access pushed "
                 f"(cap {AMPLIFICATION_CAP})"
             )
+        if point["sorts_per_access"] != point["amplification"]:
+            problems.append(
+                f"wide-universe chunk {point['chunk']} sorted "
+                f"{point['sorts_per_access']:.4f} accesses per access "
+                f"pushed, not one sort per solved access "
+                f"({point['amplification']:.4f})"
+            )
     mismatched = int(results["tenants"]["mismatched_curves"])
     if mismatched:
         problems.append(
@@ -368,11 +384,11 @@ def _render(results: Dict[str, object]) -> str:
     wide = results["wide"]
     wide_rows = [
         ["batch", f"{n:,}", f"{wide['batch']['rss_kb'] / 1024:.0f}",
-         f"{wide['batch']['seconds']:.2f}", "-"],
+         f"{wide['batch']['seconds']:.2f}", "-", "-"],
     ] + [
         [f"chunked c={p['chunk']:,}", f"{n:,}",
          f"{p['rss_kb'] / 1024:.0f}", f"{p['seconds']:.2f}",
-         f"{p['amplification']:.2f}"]
+         f"{p['amplification']:.2f}", f"{p['sorts_per_access']:.2f}"]
         for p in wide["points"]
     ]
     tenants = results["tenants"]
@@ -394,10 +410,11 @@ def _render(results: Dict[str, object]) -> str:
         f"{wide['push']:,}-access pushes, a query every "
         f"{wide['query_every']} pushes)",
         ["engine", "accesses", "peak RSS (MB)", "wall (s)",
-         "amplification"],
+         "amplification", "sorted/pushed"],
         wide_rows,
         note=f"amplification = Σ(referenced + n) / Σn over the chunk "
-             f"spans; cap {AMPLIFICATION_CAP}",
+             f"spans; cap {AMPLIFICATION_CAP}; sorted/pushed = Σ(accesses "
+             f"sorted) / Σn must equal it (one sort per solved access)",
     )
 
 
@@ -430,6 +447,7 @@ def main() -> int:
         f"ok: chunked RSS growth n→4n {results['chunked_rss_growth']:.2f}x "
         f"(batch {results['batch_rss_growth']:.2f}x); throughput "
         f"{results['throughput_ratio']:.2f}x of batch; wide amplification "
+        "= sorted per pushed "
         + ", ".join(f"{p['amplification']:.2f}"
                     for p in results["wide"]["points"])
     )

@@ -49,12 +49,17 @@ import numpy as np
 from .._typing import DEFAULT_DTYPE, TraceLike, as_trace
 from ..errors import ReproError
 from ..extmem.blockdevice import MemoryConfig
-from ..obs import NULL_SPAN, get_tracer
 from .bounded import bounded_iaf
 from .config import ALGORITHMS, ENGINE_ALGORITHMS, SolveConfig, SolveResult
-from .engine import EngineStats, iaf_distances, iaf_distances_batch
+from .engine import (
+    EngineStats,
+    iaf_distances,
+    iaf_distances_batch,
+    postprocess_curve,
+    preprocess_prev,
+)
 from .external import external_iaf_distances
-from .hitrate import HitRateCurve, curve_from_backward_distances
+from .hitrate import HitRateCurve
 from .parallel import parallel_iaf_distances, parallel_iaf_distances_batch
 from .prevnext import prev_next_arrays
 from .reference import reference_distances
@@ -62,6 +67,11 @@ from .reference import reference_distances
 # ---------------------------------------------------------------------------
 # The unified execution path
 # ---------------------------------------------------------------------------
+
+#: Algorithms whose distances come from the engine's op sequence: the
+#: trace is sorted once, and that ``prev`` feeds both ops and curve.
+_ONE_SORT_ALGORITHMS = ("iaf", "parallel-iaf", "process-iaf",
+                        "external-iaf")
 
 
 def solve(
@@ -111,10 +121,14 @@ def _solve_dispatch(
     arr = as_trace(trace, dtype=dtype)
     if stats is None and algorithm in ENGINE_ALGORITHMS:
         stats = EngineStats()
+    # The solve's one sort: its prev builds the ops and then picks the
+    # distances the curve counts.
+    prev = (preprocess_prev(arr, engine_backend=cfg.engine_backend)
+            if algorithm in _ONE_SORT_ALGORITHMS else None)
     if algorithm == "iaf":
         d = iaf_distances(arr, dtype=dtype, stats=stats,
-                          engine_backend=cfg.engine_backend)
-        return _postprocess_curve(arr, d), d, stats
+                          engine_backend=cfg.engine_backend, prev=prev)
+        return postprocess_curve(d, prev), d, stats
     if algorithm == "bounded-iaf":
         res = bounded_iaf(arr, cfg.max_cache_size, dtype=dtype, stats=stats,
                           engine_backend=cfg.engine_backend)
@@ -128,29 +142,31 @@ def _solve_dispatch(
     if algorithm == "parallel-iaf":
         d = parallel_iaf_distances(arr, workers=cfg.workers, dtype=dtype,
                                    stats=stats,
-                                   engine_backend=cfg.engine_backend)
-        return _postprocess_curve(arr, d), d, stats
+                                   engine_backend=cfg.engine_backend,
+                                   prev=prev)
+        return postprocess_curve(d, prev), d, stats
     if algorithm == "process-iaf":
         from .parallel import process_parallel_iaf_distances
 
         d = process_parallel_iaf_distances(
             arr, workers=cfg.workers, dtype=dtype,
-            engine_backend=cfg.engine_backend,
+            engine_backend=cfg.engine_backend, prev=prev,
         )
-        return _postprocess_curve(arr, d), d, None
+        return postprocess_curve(d, prev), d, None
     if algorithm == "external-iaf":
         mem = cfg.memory_config or MemoryConfig(
             memory_items=65536, block_items=1024
         )
         d, report = external_iaf_distances(
-            arr, mem, dtype=dtype, engine_backend=cfg.engine_backend
+            arr, mem, dtype=dtype, engine_backend=cfg.engine_backend,
+            prev=prev,
         )
-        curve = _postprocess_curve(arr, d)
+        curve = postprocess_curve(d, prev)
         report.curve = curve
         return curve, d, report.stats
     if algorithm == "reference":
         d = reference_distances(arr)
-        return _postprocess_curve(arr, d), d, None
+        return postprocess_curve(d, prev_next_arrays(arr)[0]), d, None
     if algorithm in ("ost", "splay", "mattson", "parda", "fenwick"):
         from ..baselines import baseline_hit_rate_curve
 
@@ -162,16 +178,6 @@ def _solve_dispatch(
     raise ReproError(
         f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
     )
-
-
-def _postprocess_curve(arr: np.ndarray, d: np.ndarray) -> HitRateCurve:
-    """Distance vector → curve, under the usual post-processing span."""
-    tracer = get_tracer()
-    span = (tracer.span("iaf.postprocess", n=arr.size)
-            if tracer.enabled else NULL_SPAN)
-    with span:
-        _, nxt = prev_next_arrays(arr)
-        return curve_from_backward_distances(d, nxt)
 
 
 def solve_batch(
@@ -202,24 +208,22 @@ def solve_batch(
         as_trace(t, dtype=DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype)
         for t in traces
     ]
+    prevs = [preprocess_prev(a, engine_backend=cfg.engine_backend)
+             for a in arrs]
     if algorithm == "iaf":
         distances = iaf_distances_batch(
             arrs, dtype=cfg.dtype, stats=stats,
-            engine_backend=cfg.engine_backend,
+            engine_backend=cfg.engine_backend, prevs=prevs,
         )
     else:
         distances = parallel_iaf_distances_batch(
             arrs, workers=cfg.workers, dtype=cfg.dtype, stats=stats,
-            engine_backend=cfg.engine_backend,
+            engine_backend=cfg.engine_backend, prevs=prevs,
         )
     results: List[SolveResult] = []
     wall = time.perf_counter() - t0
-    for arr, d in zip(arrs, distances):
-        if arr.size == 0:
-            curve = HitRateCurve(np.zeros(0, dtype=np.int64), 0)
-        else:
-            curve = _postprocess_curve(arr, d)
-        curve = curve.with_stats(stats)
+    for d, prev in zip(distances, prevs):
+        curve = postprocess_curve(d, prev).with_stats(stats)
         if cfg.max_cache_size is not None:
             curve = _truncate(curve, cfg.max_cache_size)
         results.append(SolveResult(
@@ -269,15 +273,16 @@ def stack_distances(
         )
     dtype = DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype
     arr = as_trace(trace, dtype=dtype)
+    prev, _ = prev_next_arrays(arr, engine_backend=cfg.engine_backend)
     if cfg.algorithm == "iaf":
         d = iaf_distances(arr, dtype=dtype,
-                          engine_backend=cfg.engine_backend)
+                          engine_backend=cfg.engine_backend, prev=prev)
     elif cfg.algorithm == "parallel-iaf":
         d = parallel_iaf_distances(arr, workers=cfg.workers, dtype=dtype,
-                                   engine_backend=cfg.engine_backend)
+                                   engine_backend=cfg.engine_backend,
+                                   prev=prev)
     else:
         d = reference_distances(arr)
-    prev, _ = prev_next_arrays(arr)
     out = np.zeros(arr.size, dtype=np.int64)
     has_prev = prev != -1
     out[has_prev] = d[prev[has_prev]]

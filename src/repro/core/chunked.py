@@ -54,7 +54,7 @@ See docs/STREAMING.md for the architecture write-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +64,11 @@ from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
 from .engine import EngineStats, iaf_distances, resolve_engine_backend
 from .hitrate import HitRateCurve, curve_from_forward_distances
-from .prevnext import last_access_carryover, prev_next_arrays
+from .prevnext import (
+    last_access_carryover,
+    prev_next_arrays,
+    reversal_prev,
+)
 
 #: Default accesses per chunk for the exact (untruncated) mode.  Large
 #: enough to amortize per-chunk overhead, small enough that the chunk
@@ -345,10 +349,11 @@ class ChunkedIAF:
                     int(self._living_addrs.nbytes)
                     + int(self._living_last.nbytes),
                 )
-            piece = self._solve_chunk(chunk, span)
+            piece, referenced, solved_next = self._solve_chunk(chunk, span)
             self._living_addrs, self._living_last = last_access_carryover(
                 self._living_addrs, self._living_last, chunk,
                 self._processed, 0 if self._k is None else self._k,
+                referenced=referenced, solved_next=solved_next,
             )
             self._processed += int(chunk.size)
             self._solves += 1
@@ -358,7 +363,9 @@ class ChunkedIAF:
             self._curve = total
         return piece
 
-    def _solve_chunk(self, chunk: np.ndarray, span) -> HitRateCurve:
+    def _solve_chunk(
+        self, chunk: np.ndarray, span
+    ) -> Tuple[HitRateCurve, np.ndarray, np.ndarray]:
         """Solve ``referenced · chunk`` and keep the chunk's contributions.
 
         ``referenced`` is the ``r`` living entries whose address the chunk
@@ -372,35 +379,46 @@ class ChunkedIAF:
         any ``k + 1`` clip.  The solve covers ``r + n <= 2n`` accesses
         however large the carry; ``r`` is recorded on ``span`` as
         ``referenced``.
+
+        The solved trace is sorted once.  Its ``prev`` places the carried
+        distances and the compulsory misses, its ``next`` mirrored is the
+        reversal's ``prev`` (the engine solves ``reverse(referenced ·
+        chunk)``), and the same ``next`` marks the chunk's last
+        occurrences for the carry update.  Returns the chunk's curve, the
+        ``referenced`` mask over the carry and that ``next``.
         """
         living = self._living_addrs
         m = living.size
-        referenced = np.flatnonzero(np.isin(living, chunk))
-        r = referenced.size
+        referenced = np.isin(living, chunk)
+        ref_idx = np.flatnonzero(referenced)
+        r = ref_idx.size
         span.set(referenced=r)
-        solved = np.concatenate([living[referenced], chunk]).astype(
+        solved = np.concatenate([living[ref_idx], chunk]).astype(
             self._dtype, copy=False
         )
         if self._memory is not None:
             self._memory.observe("chunked.chunk", int(solved.nbytes) * 2)
-        prev, _ = prev_next_arrays(solved, engine_backend=self._backend)
+        prev, nxt = prev_next_arrays(solved, engine_backend=self._backend)
         # Reversal duality: the backward distances of the reversed trace,
         # reversed, are the forward distances of the original.
         d_rev = iaf_distances(solved[::-1], dtype=self._dtype,
-                              stats=self._stats, engine_backend=self._backend)
+                              stats=self._stats, engine_backend=self._backend,
+                              prev=reversal_prev(nxt))
         f = d_rev[::-1][r:]
         prev_chunk = prev[r:]
         carried = (prev_chunk >= 0) & (prev_chunk < r)
-        newer_unreferenced = (m - 1 - referenced) - (r - 1 - np.arange(r))
+        newer_unreferenced = (m - 1 - ref_idx) - (r - 1 - np.arange(r))
         f[carried] += newer_unreferenced[prev_chunk[carried]]
-        prev_map = np.where(prev_chunk == -1, -1, 0)
         if self._memory is not None:
             self._memory.observe("chunked.chunk", 0)
+        # Only prev == -1 (a compulsory miss) matters to the curve.
         if self._k is None:
-            return curve_from_forward_distances(f, prev_map)
-        return curve_from_forward_distances(
-            np.minimum(f, self._k + 1), prev_map, truncated_at=self._k
-        )
+            piece = curve_from_forward_distances(f, prev_chunk)
+        else:
+            piece = curve_from_forward_distances(
+                np.minimum(f, self._k + 1), prev_chunk, truncated_at=self._k
+            )
+        return piece, referenced, nxt
 
     # -- queries ------------------------------------------------------------
 

@@ -1432,6 +1432,7 @@ def iaf_distances(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
+    prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Backward distance vector of ``trace`` via the vectorized engine.
 
@@ -1439,6 +1440,11 @@ def iaf_distances(
     ``trace[i : next(i)]`` (entries whose address never recurs hold the
     distinct count of the remaining suffix instead; they are ignored by
     curve construction, mirroring Lemma 4.1's accounting).
+
+    ``prev`` is the trace's ``prev`` array when the caller already holds
+    it (it needs it for its curve, or mirrored it from a ``next``);
+    otherwise the trace is sorted here, once, by :func:`prev_next_arrays`
+    under ``engine_backend``.
     """
     arr = as_trace(trace, dtype=dtype)
     n = arr.size
@@ -1449,15 +1455,23 @@ def iaf_distances(
     traced = tracer.enabled
     dt = validate_dtype(dtype)
     with tracer.span("iaf.preprocess", n=n) if traced else NULL_SPAN:
-        kind, t, r = prepost_sequence_arrays(arr, dtype=dt)
+        if prev is None:
+            prev, _ = prev_next_arrays(arr, engine_backend=engine_backend)
+        kind, t, r = prepost_sequence_arrays(arr, dtype=dt, prev=prev)
+        # Not held across the level loop: a prev sorted here is freed.
+        prev = None
     if memory is not None:
         memory.allocate("engine.trace", int(arr.nbytes))
     values = np.zeros(n + 1, dtype=np.int64)  # cell 0 is the sentinel
-    seg = Segments.single(kind, t, r, 0, n)
+    # The level loop gets the only reference to the root ops, so they
+    # are freed once level 0 has partitioned them: the peak of a solve
+    # then holds one level's ops, not the root's as well.
+    root = [Segments.single(kind, t, r, 0, n)]
+    del kind, t, r
     span = (tracer.span("iaf.solve", n=n, backend=engine_backend)
             if traced else NULL_SPAN)
     with span:
-        solve_prepost_arrays(seg, values, stats=stats, memory=memory,
+        solve_prepost_arrays(root.pop(), values, stats=stats, memory=memory,
                              engine_backend=engine_backend)
     if memory is not None:
         memory.free("engine.trace", int(arr.nbytes))
@@ -1472,16 +1486,47 @@ def iaf_hit_rate_curve(
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
 ) -> HitRateCurve:
-    """Full pipeline: pre-process, distance computation, post-process."""
+    """Full pipeline: pre-process, distance computation, post-process.
+
+    The trace is sorted once: its ``prev`` builds the operations and
+    then selects the distances the curve counts.
+    """
     arr = as_trace(trace, dtype=dtype)
+    prev = preprocess_prev(arr, engine_backend=engine_backend)
     d = iaf_distances(arr, dtype=dtype, stats=stats, memory=memory,
-                      engine_backend=engine_backend)
+                      engine_backend=engine_backend, prev=prev)
+    return postprocess_curve(d, prev)
+
+
+def preprocess_prev(
+    trace: np.ndarray, *, engine_backend: Optional[str] = None
+) -> np.ndarray:
+    """The one sort of a solve whose caller keeps ``prev`` for its curve.
+
+    Runs :func:`prev_next_arrays` under an ``iaf.preprocess`` span and
+    keeps only ``prev``; pass it to the distance function (which then
+    opens a second ``iaf.preprocess`` span for the op construction) and
+    to :func:`postprocess_curve`.
+    """
     tracer = get_tracer()
-    span = (tracer.span("iaf.postprocess", n=arr.size)
+    span = (tracer.span("iaf.preprocess", n=int(trace.size))
             if tracer.enabled else NULL_SPAN)
     with span:
-        _, nxt = prev_next_arrays(arr, engine_backend=engine_backend)
-        return curve_from_backward_distances(d, nxt)
+        prev, _ = prev_next_arrays(trace, engine_backend=engine_backend)
+    return prev
+
+
+def postprocess_curve(d: np.ndarray, prev: np.ndarray) -> HitRateCurve:
+    """Backward distances → curve under the ``iaf.postprocess`` span.
+
+    Only the histogram runs here: ``prev`` comes from the solve's one
+    sort, and ``d[prev[prev >= 0]]`` is the multiset ``d[next < n]``.
+    """
+    tracer = get_tracer()
+    span = (tracer.span("iaf.postprocess", n=int(d.size))
+            if tracer.enabled else NULL_SPAN)
+    with span:
+        return curve_from_backward_distances(d, prev=prev)
 
 
 # ---------------------------------------------------------------------------
@@ -1493,6 +1538,7 @@ def batch_segments(
     traces: Sequence[TraceLike],
     *,
     dtype: Optional["np.typing.DTypeLike"] = None,
+    prevs: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[List[np.ndarray], Segments, np.ndarray, int]:
     """Seed one :class:`Segments` batch with one root segment per trace.
 
@@ -1508,6 +1554,10 @@ def batch_segments(
     — an upper bound on every cluster-sum any level can form — fits, so
     narrow accumulation cannot wrap.  Half the per-pass memory traffic,
     bit-identical distances.  An explicit ``dtype`` is always honored.
+
+    ``prevs`` holds each trace's ``prev`` when the caller sorted them
+    already (as :func:`iaf_distances` takes ``prev``); otherwise each
+    trace is sorted here.
 
     Returns ``(validated traces, segments, bases, total_cells)``.
     """
@@ -1527,8 +1577,10 @@ def batch_segments(
     kinds: List[np.ndarray] = []
     ts: List[np.ndarray] = []
     rs: List[np.ndarray] = []
-    for arr, base in zip(arrs, bases[:-1].tolist()):
-        kind, t, r = prepost_sequence_arrays(arr, dtype=dt)
+    if prevs is None:
+        prevs = [None] * len(arrs)
+    for arr, prev, base in zip(arrs, prevs, bases[:-1].tolist()):
+        kind, t, r = prepost_sequence_arrays(arr, dtype=dt, prev=prev)
         if base:
             t = t + dt.type(base)
         kinds.append(kind)
@@ -1564,6 +1616,7 @@ def iaf_distances_batch(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
+    prevs: Optional[Sequence[np.ndarray]] = None,
 ) -> List[np.ndarray]:
     """Backward distance vectors of ``k`` independent traces in one solve.
 
@@ -1571,10 +1624,13 @@ def iaf_distances_batch(
     trace's segments never interact with another's (the cluster-sums are
     segmented and the cell intervals disjoint) — but all traces share
     every level's vectorized passes, so the per-level numpy dispatch cost
-    is paid once per *batch* instead of once per trace.
+    is paid once per *batch* instead of once per trace.  ``prevs`` are
+    the traces' ``prev`` arrays when the caller holds them (see
+    :func:`batch_segments`).
     """
     engine_backend = resolve_engine_backend(engine_backend)
-    arrs, seg, bases, total_cells = batch_segments(traces, dtype=dtype)
+    arrs, seg, bases, total_cells = batch_segments(traces, dtype=dtype,
+                                                   prevs=prevs)
     if not arrs:
         return []
     tracer = get_tracer()
@@ -1615,13 +1671,9 @@ def iaf_hit_rate_curves_batch(
     """
     arrs = [as_trace(t, dtype=DEFAULT_DTYPE if dtype is None else dtype)
             for t in traces]
+    prevs = [preprocess_prev(a, engine_backend=engine_backend)
+             for a in arrs]
     distances = iaf_distances_batch(arrs, dtype=dtype, stats=stats,
-                                    engine_backend=engine_backend)
-    curves: List[HitRateCurve] = []
-    for arr, d in zip(arrs, distances):
-        if arr.size == 0:
-            curves.append(HitRateCurve(np.zeros(0, dtype=np.int64), 0))
-            continue
-        _, nxt = prev_next_arrays(arr, engine_backend=engine_backend)
-        curves.append(curve_from_backward_distances(d, nxt))
-    return curves
+                                    engine_backend=engine_backend,
+                                    prevs=prevs)
+    return [postprocess_curve(d, prev) for d, prev in zip(distances, prevs)]

@@ -208,12 +208,14 @@ def external_iaf_distances(
     device: Optional[BlockDevice] = None,
     dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
     engine_backend: Optional[str] = None,
+    prev: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ExternalRunReport]:
     """Backward distance vector via EXTERNAL-INCREMENT-AND-FREEZE.
 
     Returns ``(distances, report)``; the report carries the block-transfer
     counts measured against ``config``.  A caller-supplied ``device`` lets
     tests inspect the file traffic; by default a fresh one is used.
+    ``prev`` is the trace's, when the caller already sorted it.
     """
     arr = as_trace(trace, dtype=dtype)
     n = arr.size
@@ -228,7 +230,7 @@ def external_iaf_distances(
     # The trace itself streams in once (charged), and S is written out.
     trace_file = dev.create_from("iaf.trace", arr)
     trace_file.read(0, n)
-    kind, t, r = prepost_sequence_arrays(arr, dtype=np.int64)
+    kind, t, r = prepost_sequence_arrays(arr, dtype=np.int64, prev=prev)
     ops_file = _write_ops(dev, "iaf.ops.root", kind, t, r)
     dev.delete("iaf.trace")
 

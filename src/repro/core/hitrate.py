@@ -186,21 +186,38 @@ def merge_curves(curves: Sequence[HitRateCurve]) -> HitRateCurve:
 
 
 def curve_from_backward_distances(
-    distances: np.ndarray, next_arr: np.ndarray
+    distances: np.ndarray,
+    next_arr: Optional[np.ndarray] = None,
+    *,
+    prev: Optional[np.ndarray] = None,
 ) -> HitRateCurve:
     """Build the curve from the (backward) distance vector ``d`` (Section 3).
 
     ``d_i`` determines a hit for the *re-access* at ``next(i)``, so only
     positions with ``next(i) < n`` contribute; the hit lands at every cache
-    size >= ``d_i``.
+    size >= ``d_i``.  Give exactly one of ``next_arr`` and ``prev``: the
+    positions with a next occurrence are exactly the ``prev`` targets, so
+    ``d[prev[prev >= 0]]`` is the same multiset, and a solve that sorted
+    its trace once for ``prev`` needs no ``next``.
     """
     d = np.asarray(distances, dtype=np.int64)
-    nxt = np.asarray(next_arr)
     n = d.size
-    if nxt.size != n:
-        raise ReproError("distances and next arrays must have equal length")
-    contributing = d[nxt < n]
-    return _curve_from_hit_distances(contributing, n)
+    if (next_arr is None) == (prev is None):
+        raise ReproError("give exactly one of next_arr and prev")
+    ref = np.asarray(next_arr if prev is None else prev)
+    if ref.size != n:
+        raise ReproError(
+            f"distances and {'next' if prev is None else 'prev'} arrays "
+            f"must have equal length"
+        )
+    if prev is None:
+        has_next = ref < n
+    else:
+        # Scatter into a mask, then select in order: a sequential pass
+        # over d instead of a random gather from it.
+        has_next = np.zeros(n, dtype=bool)
+        has_next[ref[ref >= 0]] = True
+    return _curve_from_hit_distances(d[has_next], n)
 
 
 def curve_from_forward_distances(

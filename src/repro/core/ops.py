@@ -30,7 +30,7 @@ null-op special case from the Prefix/Postfix path: a trace of length
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -256,7 +256,10 @@ def prepost_sequence(trace: TraceLike) -> List[PrePostOp]:
 
 
 def prepost_sequence_arrays(
-    trace: TraceLike, dtype: "np.typing.DTypeLike" = np.int64
+    trace: TraceLike,
+    dtype: "np.typing.DTypeLike" = np.int64,
+    *,
+    prev: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`prepost_sequence`: ``(kind, t, r)`` arrays.
 
@@ -265,10 +268,21 @@ def prepost_sequence_arrays(
     occurrences compile to a single ``Prefix(i-1, 0)`` (see
     :func:`prepost_sequence`), so the result has ``n + #re-accesses``
     operations.
+
+    The ops depend on the trace only through ``prev``: a caller that
+    already sorted the trace passes its ``prev`` and nothing is sorted
+    again; without one, :func:`prev_next_arrays` sorts ``trace`` here.
     """
-    arr = as_trace(trace, dtype=dtype)
-    prev0, _ = prev_next_arrays(arr)
-    n = arr.size
+    if prev is None:
+        prev0, _ = prev_next_arrays(as_trace(trace, dtype=dtype))
+    else:
+        prev0 = np.asarray(prev)
+        if prev0.size != np.size(trace):
+            raise OperationError(
+                f"prev has {prev0.size} entries for a trace of "
+                f"{np.size(trace)}"
+            )
+    n = prev0.size
     dt = np.dtype(dtype)
     first = prev0 == -1
     kind = np.empty(2 * n, dtype=np.uint8)

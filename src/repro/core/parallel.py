@@ -214,13 +214,15 @@ def parallel_iaf_distances(
     dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
     stats: Optional[EngineStats] = None,
     engine_backend: Optional[str] = None,
+    prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Backward distance vector with subtree parallelism over ``workers``.
 
     Identical output to :func:`repro.core.engine.iaf_distances`; the first
     ``ceil(log2 workers)`` levels run serially (they are a vanishing
     fraction of the work), after which each thread owns a contiguous
-    group of subproblems.
+    group of subproblems.  ``prev`` is the trace's, when the caller
+    already sorted it (as in :func:`~repro.core.engine.iaf_distances`).
     """
     if workers < 1:
         raise CapacityError(f"workers must be >= 1, got {workers}")
@@ -228,7 +230,7 @@ def parallel_iaf_distances(
     n = arr.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    kind, t, r = prepost_sequence_arrays(arr, dtype=dtype)
+    kind, t, r = prepost_sequence_arrays(arr, dtype=dtype, prev=prev)
     values = np.zeros(n + 1, dtype=np.int64)
     seg = Segments.single(kind, t, r, 0, n)
     _solve_seg_parallel(seg, values, workers, stats, engine_backend)
@@ -268,12 +270,13 @@ def parallel_iaf_hit_rate_curve(
     stats: Optional[EngineStats] = None,
     engine_backend: Optional[str] = None,
 ) -> HitRateCurve:
-    """Full pipeline with parallel distance computation."""
+    """Full pipeline with parallel distance computation (one sort)."""
     arr = as_trace(trace, dtype=dtype)
+    prev, _ = prev_next_arrays(arr, engine_backend=engine_backend)
     d = parallel_iaf_distances(arr, workers=workers, dtype=dtype,
-                               stats=stats, engine_backend=engine_backend)
-    _, nxt = prev_next_arrays(arr)
-    return curve_from_backward_distances(d, nxt)
+                               stats=stats, engine_backend=engine_backend,
+                               prev=prev)
+    return curve_from_backward_distances(d, prev=prev)
 
 
 def parallel_iaf_distances_batch(
@@ -283,6 +286,7 @@ def parallel_iaf_distances_batch(
     dtype: "Optional[np.typing.DTypeLike]" = None,
     stats: Optional[EngineStats] = None,
     engine_backend: Optional[str] = None,
+    prevs: "Optional[List[np.ndarray]]" = None,
 ) -> List[np.ndarray]:
     """Batched multi-trace solve with subtree parallelism.
 
@@ -290,11 +294,13 @@ def parallel_iaf_distances_batch(
     subtree split applies from level 0 — with ``k >= 4 * workers`` there
     is no serial warm-up at all, each thread immediately owning a
     contiguous group of traces.  Output matches
-    :func:`repro.core.engine.iaf_distances_batch` exactly.
+    :func:`repro.core.engine.iaf_distances_batch` exactly, ``prevs``
+    included.
     """
     if workers < 1:
         raise CapacityError(f"workers must be >= 1, got {workers}")
-    arrs, seg, bases, total_cells = batch_segments(traces, dtype=dtype)
+    arrs, seg, bases, total_cells = batch_segments(traces, dtype=dtype,
+                                                   prevs=prevs)
     if not arrs:
         return []
     values = np.zeros(total_cells, dtype=np.int64)
@@ -316,18 +322,14 @@ def parallel_iaf_hit_rate_curves_batch(
     """Batched curve requests with subtree parallelism (serving form)."""
     arrs = [as_trace(t, dtype=DEFAULT_DTYPE if dtype is None else dtype)
             for t in traces]
+    prevs = [prev_next_arrays(a, engine_backend=engine_backend)[0]
+             for a in arrs]
     distances = parallel_iaf_distances_batch(
         arrs, workers=workers, dtype=dtype, stats=stats,
-        engine_backend=engine_backend,
+        engine_backend=engine_backend, prevs=prevs,
     )
-    curves: List[HitRateCurve] = []
-    for arr, d in zip(arrs, distances):
-        if arr.size == 0:
-            curves.append(HitRateCurve(np.zeros(0, dtype=np.int64), 0))
-            continue
-        _, nxt = prev_next_arrays(arr)
-        curves.append(curve_from_backward_distances(d, nxt))
-    return curves
+    return [curve_from_backward_distances(d, prev=prev)
+            for d, prev in zip(distances, prevs)]
 
 
 def _solve_split_processes(
@@ -388,6 +390,7 @@ def process_parallel_iaf_distances(
     dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
     engine_backend: Optional[str] = None,
     executor: "Optional[object]" = None,
+    prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Backward distances with *process*-based parallelism.
 
@@ -399,7 +402,8 @@ def process_parallel_iaf_distances(
     across requests, descriptors only on the pipe); pass ``executor`` to
     pin a specific :class:`~repro.parallel_exec.ProcessExecutor`.
 
-    Output is identical to :func:`repro.core.engine.iaf_distances`.
+    Output is identical to :func:`repro.core.engine.iaf_distances`,
+    which takes ``prev`` the same way.
     """
     if workers < 1:
         raise CapacityError(f"workers must be >= 1, got {workers}")
@@ -407,7 +411,7 @@ def process_parallel_iaf_distances(
     n = arr.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    kind, t, r = prepost_sequence_arrays(arr, dtype=dtype)
+    kind, t, r = prepost_sequence_arrays(arr, dtype=dtype, prev=prev)
     values = np.zeros(n + 1, dtype=np.int64)
     seg = Segments.single(kind, t, r, 0, n)
     seg = _warmup_levels(seg, values, workers, None, engine_backend)

@@ -94,12 +94,31 @@ def prev_next_arrays_python(trace: TraceLike) -> Tuple[np.ndarray, np.ndarray]:
     return prev, nxt
 
 
+def reversal_prev(nxt: np.ndarray) -> np.ndarray:
+    """``prev`` of the reversed trace, mirrored from the trace's ``next``.
+
+    Position ``j`` of ``reverse(T)`` is position ``N-1-j`` of ``T``, and
+    its previous occurrence in the reversal is that position's next
+    occurrence in ``T``: ``prev_rev[j] = N-1-next[N-1-j]``, or -1 where
+    ``next`` is ``N``.  One linear pass instead of a second sort.
+    """
+    nxt = np.asarray(nxt)
+    n = nxt.size
+    mirrored = nxt[::-1]
+    prev_rev = (n - 1) - mirrored
+    prev_rev[mirrored == n] = -1
+    return prev_rev
+
+
 def last_access_carryover(
     addrs: np.ndarray,
     last_access: np.ndarray,
     chunk: np.ndarray,
     chunk_start: int,
     k: int = 0,
+    *,
+    referenced: np.ndarray,
+    solved_next: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fold ``chunk`` into a living-request map (Section 7, ``k = ∞`` form).
 
@@ -110,27 +129,28 @@ def last_access_carryover(
     run of accesses, whose global positions start at ``chunk_start``.
     Returns the updated ``(addrs, last_access)`` pair.
 
-    With ``k > 0`` only the ``k`` most recent entries survive — exactly
-    :func:`repro.core.bounded.recent_distinct_suffix` plus the carried
-    positions; ``k = 0`` keeps everything (the chunked engine's exact
-    mode, where the map is the O(u) carry between chunk solves).
+    The chunk solve has already sorted what this needs: ``referenced``
+    is the boolean mask of the entries whose address ``chunk`` touches,
+    and ``solved_next`` the ``next`` array of the trace it solved,
+    ``addrs[referenced] · chunk`` (``r + n`` long).  The new map is the
+    unreferenced entries in carry order followed by the chunk's last
+    occurrences — positions ``>= r`` whose ``next`` is ``r + n`` — in
+    position order: one linear pass over the living set, no sort.
+
+    With ``k > 0`` only the ``k`` most recent entries survive — the
+    carried form of :func:`repro.core.bounded.recent_distinct_suffix`;
+    ``k = 0`` keeps everything (the chunked engine's exact mode, where
+    the map is the O(u) carry between chunk solves).
     """
-    comb_a = np.concatenate([addrs, chunk])
-    if comb_a.size == 0:
-        return comb_a, last_access[:0]
-    comb_i = np.concatenate([
-        last_access,
-        np.arange(chunk_start, chunk_start + chunk.size, dtype=np.int64),
-    ])
-    rev = comb_a[::-1]
-    _, first_in_rev = np.unique(rev, return_index=True)
-    # First occurrence in the reversal == last occurrence in `comb_a`;
-    # sort by that last-access position, least-recent first.
-    order = np.argsort(first_in_rev)[::-1]
-    keep = comb_a.size - 1 - first_in_rev[order]
-    if k > 0 and keep.size > k:
-        keep = keep[-k:]
-    return comb_a[keep], comb_i[keep]
+    size = solved_next.size
+    last = np.flatnonzero(solved_next[size - chunk.size:] == size)
+    unreferenced = ~referenced
+    new_addrs = np.concatenate([addrs[unreferenced], chunk[last]])
+    new_last = np.concatenate([last_access[unreferenced], last + chunk_start])
+    if 0 < k < new_addrs.size:
+        # Copies, so the carry does not pin the untruncated arrays.
+        return new_addrs[-k:].copy(), new_last[-k:].copy()
+    return new_addrs, new_last
 
 
 def first_occurrence_mask(prev: np.ndarray) -> np.ndarray:

@@ -294,8 +294,8 @@ def sampled_hit_rate_curve(
     sample = arr[sample_mask(arr, rate, seed)]
     if sample.size == 0:
         return ApproximateCurve(np.zeros(0), n, 0, rate)
-    d = iaf_distances(sample)
     prev, _ = prev_next_arrays(sample)
+    d = iaf_distances(sample, prev=prev)
     f = forward_from_backward(d, prev)
     return estimate_from_distances(
         f[prev != -1], total_accesses=n, sampled_accesses=int(sample.size),

@@ -50,17 +50,21 @@ def _validate_sizes(trace: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def weighted_prepost_arrays(
-    trace: np.ndarray, sizes: np.ndarray
+    trace: np.ndarray,
+    sizes: np.ndarray,
+    *,
+    prev: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Compile the weighted operation sequence: ``(kind, t, r, w)``.
 
     Mirrors :func:`repro.core.ops.prepost_sequence_arrays` with each op's
     "+1 part" carrying the accessed object's size; first occurrences
-    again collapse to a single ``Prefix(i-1, 0, w=s_i)``.
+    again collapse to a single ``Prefix(i-1, 0, w=s_i)``.  As there,
+    ``prev`` is the trace's when the caller already sorted it.
     """
     from .ops import POSTFIX, PREFIX
 
-    prev0, _ = prev_next_arrays(trace)
+    prev0 = prev_next_arrays(trace)[0] if prev is None else prev
     n = trace.size
     s = sizes[trace]
     first = prev0 == -1
@@ -82,20 +86,25 @@ def weighted_prepost_arrays(
 
 
 def weighted_backward_distances(
-    trace: TraceLike, sizes: Sequence[int], *, engine_backend: Optional[str] = None
+    trace: TraceLike,
+    sizes: Sequence[int],
+    *,
+    engine_backend: Optional[str] = None,
+    prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Weighted analogue of the distance vector, via the engine.
 
     ``out[i]`` = total size of the distinct addresses in
     ``trace[i : next(i)]`` (entries whose address never recurs hold the
     weighted distinct suffix instead, and are ignored downstream).
+    ``prev`` is the trace's, when the caller already sorted it.
     """
     arr = as_trace(trace)
     s = _validate_sizes(arr, np.asarray(sizes))
     n = arr.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    kind, t, r, w = weighted_prepost_arrays(arr, s)
+    kind, t, r, w = weighted_prepost_arrays(arr, s, prev=prev)
     values = np.zeros(n + 1, dtype=np.int64)
     solve_prepost_arrays(Segments.single(kind, t, r, 0, n, w=w), values,
                          engine_backend=engine_backend)
@@ -107,9 +116,9 @@ def weighted_stack_distances(
 ) -> np.ndarray:
     """Per-access weighted stack distance (0 = first occurrence)."""
     arr = as_trace(trace)
+    prev, _ = prev_next_arrays(arr, engine_backend=engine_backend)
     d = weighted_backward_distances(arr, sizes,
-                                    engine_backend=engine_backend)
-    prev, _ = prev_next_arrays(arr)
+                                    engine_backend=engine_backend, prev=prev)
     out = np.zeros(arr.size, dtype=np.int64)
     has_prev = prev != -1
     out[has_prev] = d[prev[has_prev]]

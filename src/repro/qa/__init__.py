@@ -17,6 +17,8 @@ cross-validation harness:
   ready-to-paste pytest regression.
 * :mod:`repro.qa.accuracy` — the sampled-vs-exact error harness behind
   the CI accuracy gate and ``docs/ACCURACY.md``.
+* :mod:`repro.qa.sorts` — counts the trace sorts a computation runs
+  (the one-sort-per-solve tests and the chunked benchmark read it).
 
 Driven by ``python -m repro fuzz`` (see ``docs/FUZZING.md``) and by the
 deterministic matrix suite in ``tests/qa/``.
@@ -41,6 +43,7 @@ from .oracle import (
     run_case_detailed,
 )
 from .shrink import divergence_signature, shrink_case, to_pytest
+from .sorts import count_sorts
 from .strategies import (
     PROFILES,
     STRATEGIES,
@@ -74,6 +77,7 @@ __all__ = [
     "sample_config",
     "WorkerKillPlan",
     "inject_worker_kills",
+    "count_sorts",
     "AccuracyRow",
     "AccuracyWorkload",
     "MAX_BOUND",

@@ -16,7 +16,11 @@ Acceptance anchors:
   universes and every edge of the carry, and at most ``2 * chunk``
   accesses per solve whatever the carry size;
 * ``push`` keeps no view of the caller's array: reusing one buffer for
-  every push leaves every entry point's curve exact.
+  every push leaves every entry point's curve exact;
+* after every push and query the carry equals a dict replay of the
+  whole pushed stream (its last k in bounded mode), for seeded carries,
+  int32 engines, chunks referencing none or all of the carry, chunks of
+  only new addresses and single-access chunks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import SolveConfig, solve
 from repro.core.bounded import bounded_iaf, parallel_bounded_iaf
@@ -481,3 +487,131 @@ class TestCallerBuffers:
         gc.collect()
         assert alive() is None, "the pending tail keeps the batch alive"
         assert engine.accesses_processed == 100 * 100
+
+
+class CarryReplay:
+    """The living carry recomputed from a dict replay of the stream.
+
+    ``replay`` maps every address to its last position over everything
+    the engine solved, in recency order.  ``model`` is the same map
+    truncated to the engine's bound after each batch of solved accesses,
+    the bound in force when they were solved (so a grown ``k`` cannot
+    bring back what an earlier, smaller ``k`` dropped).
+    """
+
+    def __init__(self, k, addrs=(), last=(), processed=0):
+        self.k = k
+        self.replay = dict(zip(addrs, last))
+        self.model = dict(self.replay)
+        self.stream = []
+        self.start = processed
+        self.folded = 0
+        self.grown = False
+        self._truncate()
+
+    def _truncate(self):
+        while self.k is not None and len(self.model) > self.k:
+            del self.model[next(iter(self.model))]
+
+    def fold(self, processed):
+        """Apply the accesses the engine solved since the last call."""
+        for i in range(self.folded, processed - self.start):
+            addr = self.stream[i]
+            for table in (self.replay, self.model):
+                table.pop(addr, None)
+                table[addr] = self.start + i
+        self.folded = processed - self.start
+        self._truncate()
+
+    def check(self, engine):
+        self.fold(engine.accesses_processed)
+        living = engine.living.tolist()
+        last = engine.living_last_access.tolist()
+        assert living == list(self.model)
+        assert last == list(self.model.values())
+        replay = list(self.replay.items())
+        tail = replay[len(replay) - len(living):] if living else []
+        assert list(zip(living, last)) == tail
+        if self.k is None:
+            assert len(living) == len(replay)
+        elif not self.grown:
+            assert len(living) == min(self.k, len(replay))
+
+
+class TestCarryReplay:
+    """The carry after every push and query, against a dict replay."""
+
+    @given(data=st.data(), dtype=st.sampled_from([np.int32, np.int64]),
+           bounded=st.booleans(), seeded=st.booleans(),
+           chunk=st.integers(1, 12))
+    def test_carry_matches_replay(self, data, dtype, bounded, seeded, chunk):
+        k = data.draw(st.integers(1, 10)) if bounded else None
+        universe = data.draw(st.integers(1, 30))
+        fresh = iter(range(1000, 10_000))
+        addrs, last, processed = [], [], 0
+        if seeded:
+            addrs = data.draw(st.lists(st.integers(0, universe - 1),
+                                       unique=True, max_size=universe))
+            last = sorted(data.draw(st.lists(
+                st.integers(0, 60), unique=True,
+                min_size=len(addrs), max_size=len(addrs))))
+            processed = (last[-1] + 1 if last else 0) + \
+                data.draw(st.integers(0, 3))
+        engine = ChunkedIAF(chunk, max_cache_size=k, dtype=dtype)
+        if seeded:
+            engine.seed_carry(addrs, last, processed=processed)
+        model = CarryReplay(k, addrs, last, processed)
+        model.check(engine)
+        steps = data.draw(st.lists(st.sampled_from(
+            ["random", "fresh", "all-living", "single", "query", "grow"]),
+            max_size=14))
+        for step in steps:
+            if step == "query":
+                engine.curve()
+            elif step == "grow":
+                if k is None:
+                    continue
+                k += data.draw(st.integers(0, 5))
+                engine.reconfigure(max_cache_size=k)
+                model.k, model.grown = k, True
+            else:
+                # After a query nothing is pending, so a push shorter
+                # than the chunk and a query solve it as one chunk:
+                # "fresh" gives r = 0, "all-living" r = m, "single" a
+                # single-access chunk.
+                if step == "random":
+                    push = data.draw(st.lists(
+                        st.integers(0, universe - 1), max_size=25))
+                elif step == "fresh":
+                    push = [next(fresh) for _ in range(
+                        data.draw(st.integers(1, 6)))]
+                elif step == "all-living":
+                    push = data.draw(st.permutations(engine.living.tolist()))
+                else:
+                    push = [data.draw(st.integers(0, universe - 1))]
+                model.stream.extend(push)
+                engine.push(np.asarray(push, dtype=dtype))
+            model.check(engine)
+        engine.curve()
+        model.check(engine)
+        assert engine.accesses_processed == processed + len(model.stream)
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_each_edge_chunk_alone(self, k):
+        """r = 0, r = m, only new addresses and one access, each solved as
+        a chunk of its own, on an int32 engine."""
+        engine = ChunkedIAF(64, max_cache_size=k, dtype=np.int32)
+        engine.seed_carry([5, 7, 9, 11], [2, 4, 6, 8], processed=10)
+        model = CarryReplay(k, [5, 7, 9, 11], [2, 4, 6, 8], 10)
+        chunks = [
+            lambda: [20, 21, 22],                  # only new: r = 0
+            lambda: engine.living.tolist()[::-1],  # every entry: r = m
+            lambda: [9],                           # one access
+            lambda: [5, 20, 5, 30, 20],            # mixed, repeats
+        ]
+        for make in chunks:
+            piece = make()
+            model.stream.extend(piece)
+            engine.push(np.asarray(piece, dtype=np.int32))
+            engine.curve()
+            model.check(engine)

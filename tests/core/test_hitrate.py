@@ -124,6 +124,27 @@ class TestConstruction:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ReproError):
             curve_from_backward_distances(np.array([1]), np.array([1, 2]))
+        with pytest.raises(ReproError):
+            curve_from_backward_distances(np.array([1]),
+                                          prev=np.array([-1, 0]))
+
+    @given(small_traces())
+    def test_prev_selects_the_same_distances_as_next(self, trace):
+        """``d[prev[prev >= 0]]`` is the multiset ``d[next < n]``."""
+        d = iaf_distances(trace)
+        prev, nxt = prev_next_arrays(trace)
+        via_next = curve_from_backward_distances(d, nxt)
+        via_prev = curve_from_backward_distances(d, prev=prev)
+        assert np.array_equal(via_prev.hits_cumulative,
+                              via_next.hits_cumulative)
+        assert via_prev.total_accesses == via_next.total_accesses
+
+    def test_exactly_one_of_next_and_prev(self):
+        d, prev, nxt = np.array([1, 1]), np.array([-1, 0]), np.array([1, 2])
+        with pytest.raises(ReproError, match="exactly one"):
+            curve_from_backward_distances(d)
+        with pytest.raises(ReproError, match="exactly one"):
+            curve_from_backward_distances(d, nxt, prev=prev)
 
     @given(small_traces())
     def test_curve_is_naive_curve(self, trace):

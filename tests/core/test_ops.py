@@ -22,6 +22,7 @@ from repro.core.ops import (
     prepost_sequence_arrays,
     project_prepost,
 )
+from repro.core.prevnext import prev_next_arrays
 from repro.errors import OperationError
 
 from ..conftest import small_traces
@@ -59,6 +60,17 @@ class TestIncrementFreeze:
         ops = increment_freeze_sequence([1, 2, 1])
         assert len(ops) == 6
         assert isinstance(ops[0], Increment) and isinstance(ops[1], Freeze)
+
+    @given(small_traces())
+    def test_arrays_from_a_given_prev_match_sorting(self, trace):
+        prev, _ = prev_next_arrays(trace)
+        for got, want in zip(prepost_sequence_arrays(trace, prev=prev),
+                             prepost_sequence_arrays(trace)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+
+    def test_prev_length_must_match_trace(self):
+        with pytest.raises(OperationError, match="prev has 1 entries"):
+            prepost_sequence_arrays([1, 2], prev=np.array([-1]))
 
     @given(small_traces())
     def test_sequence_computes_distances(self, trace):
@@ -129,6 +141,17 @@ class TestPrepostSequence:
         for i, op in enumerate(ops):
             assert kind[i] == (POSTFIX if isinstance(op, PostfixOp) else PREFIX)
             assert t[i] == op.t and r[i] == op.r
+
+    @given(small_traces())
+    def test_arrays_from_a_given_prev_match_sorting(self, trace):
+        prev, _ = prev_next_arrays(trace)
+        for got, want in zip(prepost_sequence_arrays(trace, prev=prev),
+                             prepost_sequence_arrays(trace)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+
+    def test_prev_length_must_match_trace(self):
+        with pytest.raises(OperationError, match="prev has 1 entries"):
+            prepost_sequence_arrays([1, 2], prev=np.array([-1]))
 
     @given(small_traces())
     def test_sequence_computes_distances(self, trace):
