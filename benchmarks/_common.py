@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import SolveConfig, solve
 from repro.baselines import baseline_hit_rate_curve
 from repro.core.bounded import bounded_iaf
 from repro.core.engine import EngineStats, iaf_hit_rate_curve
-from repro.core.parallel import parallel_iaf_hit_rate_curve
 from repro.metrics.memory import MemoryModel
 from repro.workloads.catalog import DISTRIBUTIONS, SIZES, get_workload
 
@@ -93,8 +93,9 @@ def run_system(
             stats=stats, memory=memory,
         ).curve
     elif system == "parallel-iaf":
-        curve = parallel_iaf_hit_rate_curve(trace, workers=workers,
-                                            stats=stats)
+        curve = solve(trace, SolveConfig(algorithm="parallel-iaf",
+                                         workers=workers),
+                      stats=stats).curve
         # Same state as serial IAF: the level arrays, split across threads
         # (17 bytes per op: uint8 kind + two int64 fields).
         memory.observe(

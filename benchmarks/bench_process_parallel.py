@@ -11,8 +11,8 @@ second):
   per-dispatch seconds after warm-up.  This is the service steady state.
 * **fresh** — a new executor per call (fork + arena map + dispatch +
   teardown).  The cold-start cost the persistent pool amortizes away.
-* **threads** — :func:`~repro.core.parallel.parallel_iaf_distances`
-  over the same number of workers, the thread dispatcher.
+* **threads** — :func:`~repro.core.engine.iaf_distances` with the same
+  ``workers`` and no executor: the level loop's split parts on threads.
 * **serial** — :func:`~repro.core.engine.iaf_distances`, one core.
 
 Acceptance bar (recorded in ``BENCH_process_parallel.json``): warm
@@ -82,33 +82,25 @@ def _best_of(once) -> float:
 def _child(mode: str, n: int, workers: int) -> float:
     """Min-of-``REPEATS`` seconds for one side, in the current process."""
     from repro.core.engine import iaf_distances
-    from repro.core.parallel import (
-        parallel_iaf_distances,
-        process_parallel_iaf_distances,
-    )
     from repro.parallel_exec import ProcessExecutor
 
     trace = _zipf_trace(n)
 
     if mode == "threads":
-        return _best_of(
-            lambda: parallel_iaf_distances(trace, workers=workers)
-        )
+        return _best_of(lambda: iaf_distances(trace, workers=workers))
     if mode == "serial":
         return _best_of(lambda: iaf_distances(trace))
     if mode == "warm":
         # The throwaway call faults in worker pages and primes the
         # arena free list.
         with ProcessExecutor(workers=workers) as ex:
-            return _best_of(lambda: process_parallel_iaf_distances(
+            return _best_of(lambda: iaf_distances(
                 trace, workers=workers, executor=ex
             ))
 
     def once():
         with ProcessExecutor(workers=workers) as ex:
-            process_parallel_iaf_distances(
-                trace, workers=workers, executor=ex
-            )
+            iaf_distances(trace, workers=workers, executor=ex)
 
     return _best_of(once)
 
@@ -118,14 +110,11 @@ def measure(n: int, workers: int) -> Dict[str, float]:
     # Correctness gate before spending the timing budget: the executor
     # path must be bit-identical to the single-process engine.
     from repro.core.engine import iaf_distances
-    from repro.core.parallel import process_parallel_iaf_distances
     from repro.parallel_exec import ProcessExecutor
 
     check = _zipf_trace(min(n, 50_000))
     with ProcessExecutor(workers=workers) as ex:
-        got = process_parallel_iaf_distances(
-            check, workers=workers, executor=ex
-        )
+        got = iaf_distances(check, workers=workers, executor=ex)
     if not np.array_equal(got, iaf_distances(check)):
         raise AssertionError("executor distances diverge from the engine")
 

@@ -16,13 +16,12 @@ import time
 
 import numpy as np
 
-from repro import hit_rate_curve
+from repro import SolveConfig, hit_rate_curve
 from repro.analysis.report import render_table, seconds
 from repro.metrics.memory import MemoryModel, format_bytes
 from repro.baselines import baseline_hit_rate_curve
 from repro.core.bounded import bounded_iaf
 from repro.core.engine import iaf_hit_rate_curve
-from repro.core.parallel import parallel_iaf_hit_rate_curve
 from repro.workloads import zipfian_trace
 
 
@@ -45,7 +44,8 @@ def main() -> None:
     timed("bound-iaf",
           lambda m: bounded_iaf(trace, chunk_multiplier=4, memory=m).curve)
     timed("parallel-iaf (4 threads)",
-          lambda m: parallel_iaf_hit_rate_curve(trace, workers=4))
+          lambda m: hit_rate_curve(
+              trace, SolveConfig(algorithm="parallel-iaf", workers=4)))
     timed("ost", lambda m: baseline_hit_rate_curve(trace, "ost", memory=m))
     timed("splay",
           lambda m: baseline_hit_rate_curve(trace, "splay", memory=m))

@@ -64,7 +64,6 @@ from .core import (
     iaf_hit_rate_curve,
     iaf_hit_rate_curves_batch,
     parallel_bounded_iaf,
-    parallel_iaf_distances,
     sampled_hit_rate_curve,
     solve,
     solve_batch,
@@ -75,7 +74,7 @@ from .core import (
 from .errors import ReproError
 from .obs import Counters, Tracer, get_tracer, tracing
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -107,7 +106,6 @@ __all__ = [
     "iaf_hit_rate_curve",
     "iaf_hit_rate_curves_batch",
     "parallel_bounded_iaf",
-    "parallel_iaf_distances",
     "ApproximateCurve",
     "sampled_hit_rate_curve",
     "solve",

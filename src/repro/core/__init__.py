@@ -37,16 +37,7 @@ from .hitrate import (
     merge_curves,
     save_curve,
 )
-from .parallel import (
-    ParallelCostReport,
-    measure_parallel_cost,
-    parallel_iaf_distances,
-    parallel_iaf_distances_batch,
-    parallel_iaf_hit_rate_curve,
-    parallel_iaf_hit_rate_curves_batch,
-    parallel_weighted_backward_distances,
-    process_parallel_iaf_distances,
-)
+from .parallel import ParallelCostReport, measure_parallel_cost
 from .partition import (
     partition_prepost,
     partition_prepost_simple,
@@ -116,12 +107,6 @@ __all__ = [
     "save_curve",
     "ParallelCostReport",
     "measure_parallel_cost",
-    "parallel_iaf_distances",
-    "parallel_iaf_distances_batch",
-    "parallel_iaf_hit_rate_curve",
-    "parallel_iaf_hit_rate_curves_batch",
-    "parallel_weighted_backward_distances",
-    "process_parallel_iaf_distances",
     "partition_prepost",
     "partition_prepost_simple",
     "prepost_distances",

@@ -11,6 +11,7 @@ examples, tests, and benchmarks all drive the same surface:
 ``"bounded-iaf"``   BOUNDED-IAF (Section 7; honors ``max_cache_size``)
 ``"chunked-iaf"``   incremental exact IAF with living-request carryover
 ``"parallel-iaf"``  thread-pool IAF (honors ``workers``)
+``"process-iaf"``   IAF with its split parts on the process pool (``workers``)
 ``"external-iaf"``  EXTERNAL-IAF against a simulated block device
 ``"reference"``     the paper-faithful pure-Python recursion
 ``"ost"``           Bennett–Kruskal on a weight-balanced order-statistic tree
@@ -42,7 +43,7 @@ removed in 2.0: such calls raise :class:`TypeError`.
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +61,6 @@ from .engine import (
 )
 from .external import external_iaf_distances
 from .hitrate import HitRateCurve
-from .parallel import parallel_iaf_distances, parallel_iaf_distances_batch
 from .prevnext import prev_next_arrays
 from .reference import reference_distances
 
@@ -72,6 +72,28 @@ from .reference import reference_distances
 #: trace is sorted once, and that ``prev`` feeds both ops and curve.
 _ONE_SORT_ALGORITHMS = ("iaf", "parallel-iaf", "process-iaf",
                         "external-iaf")
+
+#: Algorithms that are one ``iaf_distances`` solve, told apart only by
+#: where the level loop's split parts run (see :func:`_parallelism`).
+_LEVEL_LOOP_ALGORITHMS = ("iaf", "parallel-iaf", "process-iaf")
+
+
+def _parallelism(cfg: SolveConfig) -> Dict[str, Any]:
+    """The ``workers``/``executor`` keywords of ``cfg``'s engine solve.
+
+    ``iaf`` runs one worker.  ``parallel-iaf`` splits onto threads.
+    ``process-iaf`` splits onto the shared process pool, or onto threads
+    when the platform has no shared memory (``default_executor`` is then
+    ``None``); with one worker there is no split, so no pool is built.
+    """
+    if cfg.algorithm == "parallel-iaf":
+        return {"workers": cfg.workers}
+    if cfg.algorithm == "process-iaf" and cfg.workers > 1:
+        from ..parallel_exec import default_executor
+
+        return {"workers": cfg.workers,
+                "executor": default_executor(cfg.workers)}
+    return {}
 
 
 def solve(
@@ -125,9 +147,12 @@ def _solve_dispatch(
     # distances the curve counts.
     prev = (preprocess_prev(arr, engine_backend=cfg.engine_backend)
             if algorithm in _ONE_SORT_ALGORITHMS else None)
-    if algorithm == "iaf":
+    if algorithm in _LEVEL_LOOP_ALGORITHMS:
+        if algorithm == "process-iaf":
+            stats = None  # executor workers keep no stats
         d = iaf_distances(arr, dtype=dtype, stats=stats,
-                          engine_backend=cfg.engine_backend, prev=prev)
+                          engine_backend=cfg.engine_backend, prev=prev,
+                          **_parallelism(cfg))
         return postprocess_curve(d, prev), d, stats
     if algorithm == "bounded-iaf":
         res = bounded_iaf(arr, cfg.max_cache_size, dtype=dtype, stats=stats,
@@ -139,20 +164,6 @@ def _solve_dispatch(
         res = chunked_iaf(arr, cfg.chunk_size, dtype=dtype, stats=stats,
                           engine_backend=cfg.engine_backend)
         return res.curve, None, stats
-    if algorithm == "parallel-iaf":
-        d = parallel_iaf_distances(arr, workers=cfg.workers, dtype=dtype,
-                                   stats=stats,
-                                   engine_backend=cfg.engine_backend,
-                                   prev=prev)
-        return postprocess_curve(d, prev), d, stats
-    if algorithm == "process-iaf":
-        from .parallel import process_parallel_iaf_distances
-
-        d = process_parallel_iaf_distances(
-            arr, workers=cfg.workers, dtype=dtype,
-            engine_backend=cfg.engine_backend, prev=prev,
-        )
-        return postprocess_curve(d, prev), d, None
     if algorithm == "external-iaf":
         mem = cfg.memory_config or MemoryConfig(
             memory_items=65536, block_items=1024
@@ -210,16 +221,11 @@ def solve_batch(
     ]
     prevs = [preprocess_prev(a, engine_backend=cfg.engine_backend)
              for a in arrs]
-    if algorithm == "iaf":
-        distances = iaf_distances_batch(
-            arrs, dtype=cfg.dtype, stats=stats,
-            engine_backend=cfg.engine_backend, prevs=prevs,
-        )
-    else:
-        distances = parallel_iaf_distances_batch(
-            arrs, workers=cfg.workers, dtype=cfg.dtype, stats=stats,
-            engine_backend=cfg.engine_backend, prevs=prevs,
-        )
+    distances = iaf_distances_batch(
+        arrs, dtype=cfg.dtype, stats=stats,
+        engine_backend=cfg.engine_backend, prevs=prevs,
+        **_parallelism(cfg),
+    )
     results: List[SolveResult] = []
     wall = time.perf_counter() - t0
     for d, prev in zip(distances, prevs):
@@ -263,26 +269,24 @@ def stack_distances(
 
     ``out[i] <= k`` and nonzero exactly when access ``i`` hits an LRU
     cache of size ``k``.  Only the distance-materializing algorithms
-    (``iaf``, ``parallel-iaf``, ``reference``) are supported.
+    (``iaf``, ``parallel-iaf``, ``process-iaf``, ``reference``) are
+    supported.
     """
     cfg = config if config is not None else SolveConfig()
-    if cfg.algorithm not in ("iaf", "parallel-iaf", "reference"):
+    if cfg.algorithm not in (*_LEVEL_LOOP_ALGORITHMS, "reference"):
         raise ReproError(
-            f"stack_distances supports iaf/parallel-iaf/reference, "
-            f"got {cfg.algorithm!r}"
+            f"stack_distances supports iaf/parallel-iaf/process-iaf/"
+            f"reference, got {cfg.algorithm!r}"
         )
     dtype = DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype
     arr = as_trace(trace, dtype=dtype)
     prev, _ = prev_next_arrays(arr, engine_backend=cfg.engine_backend)
-    if cfg.algorithm == "iaf":
-        d = iaf_distances(arr, dtype=dtype,
-                          engine_backend=cfg.engine_backend, prev=prev)
-    elif cfg.algorithm == "parallel-iaf":
-        d = parallel_iaf_distances(arr, workers=cfg.workers, dtype=dtype,
-                                   engine_backend=cfg.engine_backend,
-                                   prev=prev)
-    else:
+    if cfg.algorithm == "reference":
         d = reference_distances(arr)
+    else:
+        d = iaf_distances(arr, dtype=dtype,
+                          engine_backend=cfg.engine_backend, prev=prev,
+                          **_parallelism(cfg))
     out = np.zeros(arr.size, dtype=np.int64)
     has_prev = prev != -1
     out[has_prev] = d[prev[has_prev]]

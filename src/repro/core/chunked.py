@@ -23,9 +23,9 @@ address the chunk never touches adds exactly 1 to the distance of each
 chunk access whose previous occurrence is an older carry entry, and
 nothing else.  So each chunk solves only ``referenced · C``, the ``r``
 living entries the chunk touches followed by the chunk, with the
-existing fused partition kernel (via the reversal duality
-``f(T) = reverse(d(reverse(T)))``), then adds the count of newer
-unreferenced entries back to each distance that reaches into the carry.
+engine's level loop, adds the count of newer unreferenced entries back
+to each distance that reaches into the carry, and reads a chunk
+access's stack distance at its previous occurrence, ``d[prev(i)]``.
 Since ``r`` is at most the chunk's distinct count, a solve covers at
 most ``2 * chunk`` accesses: its cost follows the chunk, not the
 universe.
@@ -64,11 +64,7 @@ from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
 from .engine import EngineStats, iaf_distances, resolve_engine_backend
 from .hitrate import HitRateCurve, curve_from_forward_distances
-from .prevnext import (
-    last_access_carryover,
-    prev_next_arrays,
-    reversal_prev,
-)
+from .prevnext import last_access_carryover, prev_next_arrays
 
 #: Default accesses per chunk for the exact (untruncated) mode.  Large
 #: enough to amortize per-chunk overhead, small enough that the chunk
@@ -380,12 +376,15 @@ class ChunkedIAF:
         however large the carry; ``r`` is recorded on ``span`` as
         ``referenced``.
 
-        The solved trace is sorted once.  Its ``prev`` places the carried
-        distances and the compulsory misses, its ``next`` mirrored is the
-        reversal's ``prev`` (the engine solves ``reverse(referenced ·
-        chunk)``), and the same ``next`` marks the chunk's last
-        occurrences for the carry update.  Returns the chunk's curve, the
-        ``referenced`` mask over the carry and that ``next``.
+        The solved trace is sorted once.  Its ``prev`` builds the ops and
+        reads each chunk access's distance at its previous occurrence:
+        the backward distance ``d[j]`` counts the distinct addresses of
+        ``solved[j : next(j)]``, the window of the access at ``next(j)``.
+        Each referenced entry is the previous occurrence of exactly one
+        chunk access, so the correction goes onto ``d[:r]``.  The same
+        sort's ``next`` marks the chunk's last occurrences for the carry
+        update.  Returns the chunk's curve, the ``referenced`` mask over
+        the carry and that ``next``.
         """
         living = self._living_addrs
         m = living.size
@@ -399,16 +398,12 @@ class ChunkedIAF:
         if self._memory is not None:
             self._memory.observe("chunked.chunk", int(solved.nbytes) * 2)
         prev, nxt = prev_next_arrays(solved, engine_backend=self._backend)
-        # Reversal duality: the backward distances of the reversed trace,
-        # reversed, are the forward distances of the original.
-        d_rev = iaf_distances(solved[::-1], dtype=self._dtype,
-                              stats=self._stats, engine_backend=self._backend,
-                              prev=reversal_prev(nxt))
-        f = d_rev[::-1][r:]
+        d = iaf_distances(solved, dtype=self._dtype, stats=self._stats,
+                          engine_backend=self._backend, prev=prev)
+        d[:r] += (m - 1 - ref_idx) - (r - 1 - np.arange(r))
         prev_chunk = prev[r:]
-        carried = (prev_chunk >= 0) & (prev_chunk < r)
-        newer_unreferenced = (m - 1 - ref_idx) - (r - 1 - np.arange(r))
-        f[carried] += newer_unreferenced[prev_chunk[carried]]
+        # A compulsory miss (prev == -1) reads d[-1]; the curve skips it.
+        f = d[prev_chunk]
         if self._memory is not None:
             self._memory.observe("chunked.chunk", 0)
         # Only prev == -1 (a compulsory miss) matters to the curve.

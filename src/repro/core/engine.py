@@ -40,8 +40,12 @@ Two interchangeable level kernels implement the partition step:
 The module exposes three layers:
 
 * :func:`solve_prepost_arrays` — run the level loop on an arbitrary
-  initial segment list (used by the external-memory and parallel
-  variants, whose recursions bottom out in these in-memory segments).
+  initial segment list (used by the external-memory variant, whose
+  recursion bottoms out in these in-memory segments).  With
+  ``workers > 1`` it is also PARALLEL-INCREMENT-AND-FREEZE's subtree
+  form (Theorem 4.3): once a level holds enough independent segments,
+  the loop cuts it into parts and solves each part with itself at one
+  worker, on threads or through a process executor.
 * :func:`iaf_distances` / :func:`iaf_hit_rate_curve` — the whole pipeline
   for a trace: pre-process, solve, post-process.
 * :func:`iaf_distances_batch` / :func:`iaf_hit_rate_curves_batch` — k
@@ -63,8 +67,9 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +82,9 @@ from .hitrate import HitRateCurve, curve_from_backward_distances
 from .ops import POSTFIX, PREFIX, prepost_sequence_arrays
 from .prevnext import prev_next_arrays
 from . import compiled as _compiled
+
+if TYPE_CHECKING:
+    from ..parallel_exec import ProcessExecutor
 
 #: Selectable level-kernel implementations (``engine_backend=``).
 ENGINE_BACKENDS = ("fused", "naive", "compiled")
@@ -164,9 +172,10 @@ class EngineStats:
     def record_level(self, seg: "Segments", out_nbytes: int) -> None:
         """Fold one recursion level into the counters.
 
-        The single bookkeeping point shared by the serial level loop, the
-        parallel warm-up levels, and both level kernels — keeping the
-        accounting identical everywhere it is measured.
+        The single bookkeeping point shared by every level loop (a
+        serial solve, the levels before a parallel split, each part
+        after it) and every level kernel — keeping the accounting
+        identical everywhere it is measured.
         """
         m = seg.n_ops
         self.levels += 1
@@ -225,10 +234,9 @@ class Segments:
         """Logical footprint: bytes of the entries this batch *owns*.
 
         Computed from ``n_ops``/``n_segments`` and the element widths —
-        never from the backing arrays' ``nbytes`` — so view-backed parts
-        (from :func:`repro.core.parallel._split_segments`) and
-        workspace-backed levels report their own size rather than the
-        (possibly much larger) base buffer's.
+        never from the backing arrays' ``nbytes`` — so workspace-backed
+        levels report their own size rather than the (possibly much
+        larger) base buffer's.
         """
         per_op = (
             self.kind.itemsize + self.t.itemsize + self.r.itemsize
@@ -1349,6 +1357,116 @@ def _solve_leaves_compiled(seg: Segments, out: np.ndarray) -> int:
     return int(consumed)
 
 
+def _split_segments(seg: Segments, groups: int) -> List[Segments]:
+    """Cut a segment batch into ≤ ``groups`` contiguous, op-balanced parts.
+
+    Subproblems are independent, so any partition of the segment list is
+    valid.  Each part owns copies of its slices: the batch being cut is a
+    level of the calling thread's workspace, which the next solve on that
+    thread (the process executor's inline rungs) overwrites.
+    """
+    counts = seg.counts().tolist()
+    target = max(1, sum(counts) // groups)
+    cuts = [0]
+    acc = 0
+    for s, c in enumerate(counts):
+        acc += c
+        # The last part takes whatever the first groups - 1 leave.
+        if acc >= target and len(cuts) < groups:
+            cuts.append(s + 1)
+            acc = 0
+    if cuts[-1] < len(counts):
+        cuts.append(len(counts))
+    parts = []
+    for s0, s1 in zip(cuts, cuts[1:]):
+        o0, o1 = int(seg.starts[s0]), int(seg.starts[s1])
+        parts.append(Segments(
+            kind=seg.kind[o0:o1].copy(),
+            t=seg.t[o0:o1].copy(),
+            r=seg.r[o0:o1].copy(),
+            starts=seg.starts[s0:s1 + 1] - o0,
+            lo=seg.lo[s0:s1].copy(),
+            hi=seg.hi[s0:s1].copy(),
+            w=None if seg.w is None else seg.w[o0:o1].copy(),
+        ))
+    return parts
+
+
+def _merge_part_stats(
+    stats: EngineStats, part_stats: List[EngineStats]
+) -> None:
+    """Fold per-part :class:`EngineStats` into the caller's accumulator.
+
+    Work adds up; levels/spans take the critical path (the max over the
+    concurrent parts); ``peak_level_ops``/``peak_bytes`` take the max; and
+    ``ops_per_level`` sums elementwise by level, so the merged profile
+    reads as if the levels had run level-synchronously across all parts.
+    """
+    for ps in part_stats:
+        stats.work += ps.work
+        stats.peak_level_ops = max(stats.peak_level_ops, ps.peak_level_ops)
+        stats.peak_bytes = max(stats.peak_bytes, ps.peak_bytes)
+    stats.levels += max((ps.levels for ps in part_stats), default=0)
+    stats.span_basic += max((ps.span_basic for ps in part_stats), default=0.0)
+    stats.span_parallel += max(
+        (ps.span_parallel for ps in part_stats), default=0.0
+    )
+    depth = max((len(ps.ops_per_level) for ps in part_stats), default=0)
+    for lvl in range(depth):
+        stats.ops_per_level.append(
+            sum(
+                ps.ops_per_level[lvl]
+                for ps in part_stats
+                if lvl < len(ps.ops_per_level)
+            )
+        )
+
+
+def _solve_parts(
+    parts: List[Segments],
+    out: np.ndarray,
+    workers: int,
+    executor: "Optional[ProcessExecutor]",
+    stats: Optional[EngineStats],
+    backend: str,
+) -> None:
+    """Solve the parts of one split level, each with a one-worker loop.
+
+    Parts own disjoint cell intervals, so they write disjoint cells of
+    ``out``.  With an executor they go through ``executor.solve_parts``
+    and record no stats.  On threads, each part runs in its thread's
+    own workspace, and with tracing enabled emits a ``parallel.worker``
+    span from its thread (wall ≫ cpu there means the part was GIL-bound
+    — the Section-6 scaling diagnosis at a glance).
+    """
+    if executor is not None:
+        executor.solve_parts(parts, out, engine_backend=backend)
+        return
+    part_stats = [EngineStats() for _ in parts]
+    tracer = get_tracer()
+    traced = tracer.enabled
+
+    def run(i: int) -> None:
+        part = parts[i]
+        span = (
+            tracer.span("parallel.worker", worker=i,
+                        n_segments=part.n_segments, n_ops=part.n_ops)
+            if traced
+            else NULL_SPAN
+        )
+        with span:
+            solve_prepost_arrays(part, out, stats=part_stats[i],
+                                 engine_backend=backend)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(len(parts))))
+    if stats is not None:
+        span = (tracer.span("parallel.merge_stats", parts=len(parts))
+                if traced else NULL_SPAN)
+        with span:
+            _merge_part_stats(stats, part_stats)
+
+
 def solve_prepost_arrays(
     seg: Segments,
     out: np.ndarray,
@@ -1356,6 +1474,8 @@ def solve_prepost_arrays(
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
+    workers: int = 1,
+    executor: "Optional[ProcessExecutor]" = None,
 ) -> None:
     """Run the level-synchronous recursion until every segment is solved.
 
@@ -1369,21 +1489,38 @@ def solve_prepost_arrays(
     in the calling thread's :func:`thread_workspace`, so ``seg`` must not
     be a view of that workspace's buffers.
 
+    ``workers > 1`` is Theorem 4.3's subtree parallelism.  Levels run
+    here as usual until one holds at least ``4 * workers`` segments.
+    That level is cut into ``workers`` op-balanced parts, and each part
+    is solved by this loop at one worker: on a thread pool, or through
+    ``executor.solve_parts`` when an ``executor`` (a
+    :class:`~repro.parallel_exec.ProcessExecutor`) is given.  The output
+    does not depend on ``workers``; ``stats`` gets the parts' levels
+    merged by :func:`_merge_part_stats` on threads, and none from an
+    executor.  ``memory`` observes only the levels run here.
+
     When the current :mod:`repro.obs` tracer is enabled, every recursion
     level emits an ``engine.level`` span (attrs: level index, segment and
     op counts); disabled tracing costs one shared no-op context manager
     per level — O(log n) per run, not per access.
     """
+    if workers < 1:
+        raise CapacityError(f"workers must be >= 1, got {workers}")
+    split_at = 4 * workers if workers > 1 else math.inf
     backend = resolve_engine_backend(engine_backend)
     fused = backend == "fused"
     workspace = None
-    if backend != "naive":
+    if backend != "naive" and seg.n_segments < split_at:
         workspace = thread_workspace()
         workspace.prime(seg, backend=backend)
     tracer = get_tracer()
     traced = tracer.enabled
     level = 0
     while seg.n_segments:
+        if seg.n_segments >= split_at:
+            _solve_parts(_split_segments(seg, workers), out, workers,
+                         executor, stats, backend)
+            break
         span = (
             tracer.span("engine.level", level=level,
                         n_segments=seg.n_segments, n_ops=seg.n_ops)
@@ -1433,6 +1570,8 @@ def iaf_distances(
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
     prev: Optional[np.ndarray] = None,
+    workers: int = 1,
+    executor: "Optional[ProcessExecutor]" = None,
 ) -> np.ndarray:
     """Backward distance vector of ``trace`` via the vectorized engine.
 
@@ -1442,9 +1581,11 @@ def iaf_distances(
     curve construction, mirroring Lemma 4.1's accounting).
 
     ``prev`` is the trace's ``prev`` array when the caller already holds
-    it (it needs it for its curve, or mirrored it from a ``next``);
-    otherwise the trace is sorted here, once, by :func:`prev_next_arrays`
-    under ``engine_backend``.
+    it (it needs it for its curve); otherwise the trace is sorted here,
+    once, by :func:`prev_next_arrays` under ``engine_backend``.
+    ``workers``/``executor`` split the level loop across threads or
+    processes as :func:`solve_prepost_arrays` describes; the distances
+    are the same for every choice.
     """
     arr = as_trace(trace, dtype=dtype)
     n = arr.size
@@ -1472,7 +1613,8 @@ def iaf_distances(
             if traced else NULL_SPAN)
     with span:
         solve_prepost_arrays(root.pop(), values, stats=stats, memory=memory,
-                             engine_backend=engine_backend)
+                             engine_backend=engine_backend, workers=workers,
+                             executor=executor)
     if memory is not None:
         memory.free("engine.trace", int(arr.nbytes))
     return values[1:]
@@ -1534,6 +1676,31 @@ def postprocess_curve(d: np.ndarray, prev: np.ndarray) -> HitRateCurve:
 # ---------------------------------------------------------------------------
 
 
+def certify_int32(lo: int, hi: int, r: np.ndarray,
+                  w: Optional[np.ndarray] = None) -> bool:
+    """Whether ops can be stored as int32 and solved bit-identically.
+
+    Every position (``t`` and the cell bounds) must lie in ``[lo, hi]``
+    and that range must fit; ``r`` must be ``>= -1`` and ``w`` (when
+    weighted) ``>= 0``.  Then ``sum(r)`` plus one per op (plus
+    ``sum(w)``) — the batch's total merge effect, an upper bound on
+    every cluster-sum any level can form — must fit too, so narrow
+    storage cannot wrap.  :func:`batch_segments` narrows a batch by this
+    rule and the process executor a published part.
+    """
+    i32 = np.iinfo(np.int32)
+    if lo < i32.min or hi > i32.max:
+        return False
+    if r.size and int(r.min()) < -1:
+        return False
+    bound = int(r.sum(dtype=np.int64)) + r.size
+    if w is not None:
+        if w.size and int(w.min()) < 0:
+            return False
+        bound += int(w.sum(dtype=np.int64))
+    return bound <= i32.max
+
+
 def batch_segments(
     traces: Sequence[TraceLike],
     *,
@@ -1549,10 +1716,9 @@ def batch_segments(
     every vectorized pass is amortized across them.
 
     When ``dtype`` is omitted, the batch compiler narrows the op arrays
-    to ``int32`` whenever it can *certify* the solve exact there: every
-    ``t`` fits (``total_cells - 1``) and the batch's total merge effect
-    — an upper bound on every cluster-sum any level can form — fits, so
-    narrow accumulation cannot wrap.  Half the per-pass memory traffic,
+    to ``int32`` whenever :func:`certify_int32` certifies the solve
+    exact there: every position fits (``total_cells - 1``) and the
+    batch's total merge effect fits.  Half the per-pass memory traffic,
     bit-identical distances.  An explicit ``dtype`` is always honored.
 
     ``prevs`` holds each trace's ``prev`` when the caller sorted them
@@ -1592,12 +1758,9 @@ def batch_segments(
         np.cumsum(op_counts, out=starts[1:])
     t_all = np.concatenate(ts) if ts else np.zeros(0, dtype=dt)
     r_all = np.concatenate(rs) if rs else np.zeros(0, dtype=dt)
-    if auto and r_all.size:
-        i32 = np.iinfo(np.int32)
-        bound = int(r_all.sum(dtype=np.int64)) + r_all.size
-        if total_cells - 1 <= i32.max and bound <= i32.max:
-            t_all = t_all.astype(np.int32)
-            r_all = r_all.astype(np.int32)
+    if auto and r_all.size and certify_int32(0, total_cells - 1, r_all):
+        t_all = t_all.astype(np.int32)
+        r_all = r_all.astype(np.int32)
     seg = Segments(
         kind=np.concatenate(kinds) if kinds else np.zeros(0, dtype=np.uint8),
         t=t_all,
@@ -1617,6 +1780,7 @@ def iaf_distances_batch(
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
     prevs: Optional[Sequence[np.ndarray]] = None,
+    workers: int = 1,
 ) -> List[np.ndarray]:
     """Backward distance vectors of ``k`` independent traces in one solve.
 
@@ -1626,7 +1790,10 @@ def iaf_distances_batch(
     every level's vectorized passes, so the per-level numpy dispatch cost
     is paid once per *batch* instead of once per trace.  ``prevs`` are
     the traces' ``prev`` arrays when the caller holds them (see
-    :func:`batch_segments`).
+    :func:`batch_segments`).  With ``workers > 1`` the roots are already
+    ``k`` independent segments, so for ``k >= 4 * workers`` the split of
+    :func:`solve_prepost_arrays` happens at level 0: each thread owns a
+    contiguous group of traces.
     """
     engine_backend = resolve_engine_backend(engine_backend)
     arrs, seg, bases, total_cells = batch_segments(traces, dtype=dtype,
@@ -1647,7 +1814,7 @@ def iaf_distances_batch(
     )
     with span:
         solve_prepost_arrays(seg, values, stats=stats, memory=memory,
-                             engine_backend=engine_backend)
+                             engine_backend=engine_backend, workers=workers)
     if memory is not None:
         memory.free("engine.trace", int(sum(a.nbytes for a in arrs)))
     return [

@@ -94,22 +94,6 @@ def prev_next_arrays_python(trace: TraceLike) -> Tuple[np.ndarray, np.ndarray]:
     return prev, nxt
 
 
-def reversal_prev(nxt: np.ndarray) -> np.ndarray:
-    """``prev`` of the reversed trace, mirrored from the trace's ``next``.
-
-    Position ``j`` of ``reverse(T)`` is position ``N-1-j`` of ``T``, and
-    its previous occurrence in the reversal is that position's next
-    occurrence in ``T``: ``prev_rev[j] = N-1-next[N-1-j]``, or -1 where
-    ``next`` is ``N``.  One linear pass instead of a second sort.
-    """
-    nxt = np.asarray(nxt)
-    n = nxt.size
-    mirrored = nxt[::-1]
-    prev_rev = (n - 1) - mirrored
-    prev_rev[mirrored == n] = -1
-    return prev_rev
-
-
 def last_access_carryover(
     addrs: np.ndarray,
     last_access: np.ndarray,

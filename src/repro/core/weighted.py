@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .._typing import TraceLike, as_trace
 from ..errors import CapacityError, TraceError
 from .engine import Segments, solve_prepost_arrays
 from .prevnext import prev_next_arrays
+
+if TYPE_CHECKING:
+    from ..parallel_exec import ProcessExecutor
 
 
 def _validate_sizes(trace: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -91,13 +94,18 @@ def weighted_backward_distances(
     *,
     engine_backend: Optional[str] = None,
     prev: Optional[np.ndarray] = None,
+    workers: int = 1,
+    executor: "Optional[ProcessExecutor]" = None,
 ) -> np.ndarray:
     """Weighted analogue of the distance vector, via the engine.
 
     ``out[i]`` = total size of the distinct addresses in
     ``trace[i : next(i)]`` (entries whose address never recurs hold the
     weighted distinct suffix instead, and are ignored downstream).
-    ``prev`` is the trace's, when the caller already sorted it.
+    ``prev`` is the trace's, when the caller already sorted it.  The
+    ``w`` array rides through ``workers``/``executor``'s split like the
+    other op arrays (see
+    :func:`~repro.core.engine.solve_prepost_arrays`).
     """
     arr = as_trace(trace)
     s = _validate_sizes(arr, np.asarray(sizes))
@@ -107,7 +115,8 @@ def weighted_backward_distances(
     kind, t, r, w = weighted_prepost_arrays(arr, s, prev=prev)
     values = np.zeros(n + 1, dtype=np.int64)
     solve_prepost_arrays(Segments.single(kind, t, r, 0, n, w=w), values,
-                         engine_backend=engine_backend)
+                         engine_backend=engine_backend, workers=workers,
+                         executor=executor)
     return values[1:]
 
 

@@ -136,7 +136,7 @@ class Counters:
         """Counters view of an :class:`~repro.core.engine.EngineStats`.
 
         Scalars only (``ops_per_level`` stays on the stats object);
-        kinds mirror :func:`repro.core.parallel._merge_part_stats`:
+        kinds mirror :func:`repro.core.engine._merge_part_stats`:
         work sums, levels/spans/peaks take the concurrent max.
         """
         c = cls()

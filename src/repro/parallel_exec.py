@@ -21,8 +21,13 @@ across requests:
 * Workers build zero-copy numpy views over the arena, solve with
   :func:`~repro.core.engine.solve_prepost_arrays` into a shared output
   block, and reply with a bare ``("done", job_id)``.  The parent merges
-  from the shared output region via
-  :func:`~repro.core.parallel._merge_part_values`.
+  from the shared output region via :func:`_merge_part_values`.
+
+The parts come from the engine's level loop: ``solve_prepost_arrays``
+(and so ``iaf_distances``/``weighted_backward_distances``) with
+``workers > 1`` and ``executor=`` hands its split level here.  Each part
+owns its arrays, so an inline solve on the caller's thread cannot
+overwrite another part.
 
 Robustness is first-class, mirroring the service's CapacityError
 degrade ladder: per-dispatch timeouts, dead-worker detection, bounded
@@ -308,7 +313,7 @@ class _Job:
                  blocks: List[_Block], out_block: _Block, span: int,
                  payload: Dict[str, Any]) -> None:
         self.job_id = job_id
-        self.part = part              # original (absolute) Segments view
+        self.part = part              # original (absolute) Segments part
         self.arena = arena
         self.blocks = blocks          # every block incl. out_block
         self.out_block = out_block
@@ -319,6 +324,30 @@ class _Job:
         self.worker: Optional[_Worker] = None
         self.values: Optional[np.ndarray] = None  # dispatch's output array
         self.completed = False        # set only after values are merged
+
+
+def _merge_part_values(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, local: np.ndarray
+) -> None:
+    """Copy a remote part's cells back, one slice per contiguous run.
+
+    Sorting the part's segment intervals by ``lo`` and splitting at
+    coverage breaks copies a handful of bulk slices rather than one per
+    segment, while never touching cells the part does not own — gaps
+    (other parts' subtrees interleaved by the level ordering, or leaves
+    solved before the split) keep their values.
+    """
+    if lo.size == 0:
+        return
+    base = int(lo.min())
+    order = np.argsort(lo)
+    lo_s = lo[order]
+    hi_s = hi[order]
+    breaks = np.flatnonzero(lo_s[1:] != hi_s[:-1] + 1) + 1
+    run_lo = lo_s[np.concatenate([np.zeros(1, dtype=np.int64), breaks])]
+    run_hi = hi_s[np.concatenate([breaks - 1, [lo_s.size - 1]])]
+    for a, b in zip(run_lo.tolist(), run_hi.tolist()):
+        values[a : b + 1] = local[a - base : b - base + 1]
 
 
 # -- fault injection ---------------------------------------------------------
@@ -357,9 +386,9 @@ class ProcessExecutor:
     other threads' — and routes each to its job via the registry; a
     dispatch returns once its own jobs are complete.
 
-    The service, the CLI, and :func:`process_parallel_iaf_distances`
-    share one pool via :func:`default_executor`, so a warm second
-    request pays descriptor bytes — not fork, not array pickling.
+    The service, the CLI, and ``solve`` under ``process-iaf`` share one
+    pool via :func:`default_executor`, so a warm second request pays
+    descriptor bytes — not fork, not array pickling.
     """
 
     def __init__(
@@ -660,31 +689,19 @@ class ProcessExecutor:
     def _certify_int32(part: Any, base: int, span: int) -> bool:
         """True when ``t`` and ``r`` can ship as int32 bit-identically.
 
-        Mirrors the certification :meth:`Workspace.prime` and
-        ``batch_segments`` use: positions fit when the rebased span
-        does, and ``r`` values fit when the sum of all current values
-        plus one per op (the worst-case merged accumulator the solve
-        can ever form, plus weights when present) fits.  An earlier
-        version shipped int64 unconditionally, doubling descriptor
-        payloads the worker immediately re-read as exact int32 cases.
+        The rule ``batch_segments`` narrows a batch by
+        (:func:`~repro.core.engine.certify_int32`), over the part's
+        rebased positions: its ``t`` values and its cells ``[0, span)``.
+        Narrow parts halve the descriptor payload and the rebasing copy.
         """
+        from .core.engine import certify_int32
+
         if np.dtype(part.t.dtype) != np.dtype(np.int64):
-            return False
-        i32 = np.iinfo(np.int32)
-        if span - 1 > int(i32.max):
             return False
         tmin = int(part.t.min()) - base if part.t.size else 0
         tmax = int(part.t.max()) - base if part.t.size else 0
-        if tmin < int(i32.min) or tmax > int(i32.max):
-            return False
-        if part.r.size and int(part.r.min()) < -1:
-            return False
-        bound = int(part.r.sum(dtype=np.int64)) + int(part.r.size)
-        if part.w is not None:
-            if part.w.size and int(part.w.min()) < 0:
-                return False
-            bound += int(part.w.sum(dtype=np.int64))
-        return 0 <= bound <= int(i32.max)
+        return certify_int32(min(tmin, 0), max(tmax, span - 1), part.r,
+                             part.w)
 
     def _try_publish(self, part: Any) -> Optional[_Job]:
         arena = self._arena
@@ -853,8 +870,6 @@ class ProcessExecutor:
             return  # stale reply from a superseded attempt
         if kind == "done":
             out = job.arena.view(job.out_block, np.int64, job.span)
-            from .core.parallel import _merge_part_values
-
             _merge_part_values(job.values, job.part.lo, job.part.hi, out)
             job.completed = True
             return

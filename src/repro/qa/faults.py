@@ -12,7 +12,7 @@ engine — the same oracle discipline as :mod:`repro.qa.oracle`.
 Usage::
 
     with inject_worker_kills(kills=1):
-        d = process_parallel_iaf_distances(trace, workers=2)
+        d = iaf_distances(trace, workers=2, executor=default_executor(2))
     # d is exact; the executor respawned and retried under the hood.
 """
 

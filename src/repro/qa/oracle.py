@@ -39,11 +39,6 @@ from ..core import compiled as compiled_kernels
 from ..core.bounded import bounded_iaf, parallel_bounded_iaf
 from ..core.engine import iaf_distances, iaf_distances_batch
 from ..core.hitrate import HitRateCurve, curve_from_backward_distances
-from ..core.parallel import (
-    parallel_iaf_distances,
-    parallel_weighted_backward_distances,
-    process_parallel_iaf_distances,
-)
 from ..core.prevnext import prev_next_arrays
 from ..core.reference import reference_distances
 from ..core.streaming import OnlineCurveAnalyzer
@@ -53,6 +48,7 @@ from ..core.weighted import (
     weighted_backward_distances,
     weighted_stack_distances,
 )
+from ..parallel_exec import default_executor
 from .strategies import FuzzCase, object_sizes_for, push_plan_for
 
 #: Size caps for the interpreter-speed oracles (per implementation).
@@ -201,15 +197,16 @@ def run_case_detailed(case: FuzzCase) -> OracleReport:
         check_distances("naive", lambda: naive_backward_distances(trace))
     check_distances(
         "parallel-threads",
-        lambda: parallel_iaf_distances(
+        lambda: iaf_distances(
             trace, workers=cfg.workers, dtype=cfg.numpy_dtype()
         ),
     )
     if cfg.process_workers:
         check_distances(
             "parallel-procs",
-            lambda: process_parallel_iaf_distances(
-                trace, workers=cfg.process_workers, dtype=cfg.numpy_dtype()
+            lambda: iaf_distances(
+                trace, workers=cfg.process_workers, dtype=cfg.numpy_dtype(),
+                executor=default_executor(cfg.process_workers),
             ),
         )
 
@@ -333,16 +330,16 @@ def run_case_detailed(case: FuzzCase) -> OracleReport:
             )
         check_weighted(
             "weighted-parallel-threads",
-            lambda: parallel_weighted_backward_distances(
+            lambda: weighted_backward_distances(
                 trace, sizes, workers=cfg.workers
             ),
         )
         if cfg.process_workers:
             check_weighted(
                 "weighted-parallel-procs",
-                lambda: parallel_weighted_backward_distances(
+                lambda: weighted_backward_distances(
                     trace, sizes, workers=cfg.process_workers,
-                    use_processes=True,
+                    executor=default_executor(cfg.process_workers),
                 ),
             )
         # Forward (stack-distance) oracles: the engine's stack view is the

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.api import hit_rate_curves_batch
 from repro.core.chunked import ChunkedIAF, chunked_iaf
 from repro.core.config import SolveConfig
 from repro.core.engine import (
@@ -34,14 +35,9 @@ from repro.core.engine import (
     thread_workspace,
 )
 from repro.core.ops import prepost_sequence_arrays
-from repro.core.parallel import (
-    _merge_part_values,
-    parallel_iaf_distances,
-    parallel_iaf_distances_batch,
-    parallel_iaf_hit_rate_curves_batch,
-)
 from repro.core.weighted import weighted_backward_distances
 from repro.errors import CapacityError, ReproError
+from repro.parallel_exec import _merge_part_values, default_executor
 from repro.qa.strategies import case_from_seed, object_sizes_for
 
 from ..conftest import small_traces
@@ -237,6 +233,24 @@ class TestThreadWorkspace:
         assert len({id(ws) for ws in owners}) == 4
         assert all(ws.grow_events for ws in owners)
         assert all(ws is not thread_workspace() for ws in owners)
+
+    def test_parallel_solve_runs_its_levels_in_the_thread_workspace(self):
+        """The levels before a split run in the caller's own workspace,
+        not a private pool; a second parallel solve reuses it."""
+        trace = np.random.default_rng(15).integers(0, 500, size=20_000)
+        want = iaf_distances(trace)
+
+        def run():
+            ws = thread_workspace()
+            first = iaf_distances(trace, workers=2)
+            warm = len(ws.grow_events)
+            second = iaf_distances(trace, workers=2)
+            return first, second, warm, len(ws.grow_events)
+
+        first, second, warm, after = _on_fresh_thread(run)
+        assert np.array_equal(first, want) and np.array_equal(second, want)
+        assert warm > 0
+        assert after == warm
 
     def test_int32_batch_and_int64_chunk_keep_their_buffers(self):
         """An int32-certified batch and an int64 chunk solve alternating
@@ -440,11 +454,12 @@ class TestBatchSolving:
     def test_parallel_batch_matches_serial(self):
         traces = self._traces()
         serial = iaf_distances_batch(traces)
-        par = parallel_iaf_distances_batch(traces, workers=4)
+        par = iaf_distances_batch(traces, workers=4)
         for a, b in zip(serial, par):
             assert np.array_equal(a, b)
         curves = iaf_hit_rate_curves_batch(traces)
-        pcurves = parallel_iaf_hit_rate_curves_batch(traces, workers=4)
+        pcurves = hit_rate_curves_batch(
+            traces, SolveConfig(algorithm="parallel-iaf", workers=4))
         for a, b in zip(curves, pcurves):
             assert np.array_equal(a.hits_cumulative, b.hits_cumulative)
 
@@ -486,14 +501,11 @@ class TestMergePartValues:
         assert values.tolist() == [1, 1, 1, 1]
 
     def test_matches_process_pool_path(self):
-        from repro.core.parallel import process_parallel_iaf_distances
-
         trace = np.random.default_rng(9).integers(0, 400, size=30_000)
         want = iaf_distances(trace)
         for be in ENGINE_BACKENDS:
-            got = process_parallel_iaf_distances(
-                trace, workers=3, engine_backend=be
-            )
+            got = iaf_distances(trace, workers=3, engine_backend=be,
+                                executor=default_executor(3))
             assert np.array_equal(want, got)
 
 
@@ -502,6 +514,6 @@ class TestParallelBackends:
     def test_thread_pool_parity(self, backend):
         trace = np.random.default_rng(17).integers(0, 512, size=40_000)
         assert np.array_equal(
-            parallel_iaf_distances(trace, workers=4, engine_backend=backend),
+            iaf_distances(trace, workers=4, engine_backend=backend),
             iaf_distances(trace),
         )

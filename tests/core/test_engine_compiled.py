@@ -39,7 +39,6 @@ from repro.core.engine import (
     solve_prepost_arrays,
     thread_workspace,
 )
-from repro.core.parallel import parallel_iaf_distances
 from repro.core.prevnext import (
     prev_next_arrays,
     prev_next_arrays_compiled,
@@ -131,9 +130,8 @@ class TestBitIdentity:
     def test_parallel_threads_identical(self, compiled_on):
         rng = np.random.default_rng(9)
         trace = (rng.zipf(1.4, size=3000) % 200).astype(np.int64)
-        want = parallel_iaf_distances(trace, workers=3)
-        got = parallel_iaf_distances(trace, workers=3,
-                                     engine_backend="compiled")
+        want = iaf_distances(trace, workers=3)
+        got = iaf_distances(trace, workers=3, engine_backend="compiled")
         assert np.array_equal(want, got)
 
     def test_solve_dispatch_identical(self, compiled_on):

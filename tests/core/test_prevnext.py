@@ -10,7 +10,6 @@ from repro.core.prevnext import (
     first_occurrence_mask,
     prev_next_arrays,
     prev_next_arrays_python,
-    reversal_prev,
 )
 from repro.errors import TraceError
 
@@ -79,13 +78,6 @@ class TestPrevNextInvariants:
                 assert trace[prev[i]] == trace[i]
                 # No occurrence strictly between prev(i) and i.
                 assert not (trace[prev[i] + 1 : i] == trace[i]).any()
-
-    @given(small_traces())
-    def test_reversal_prev_is_prev_of_the_reversal(self, trace):
-        """prev(reverse(T))[j] = N-1-next(T)[N-1-j], or -1 past the end."""
-        _, nxt = prev_next_arrays(trace)
-        want, _ = prev_next_arrays(trace[::-1])
-        assert np.array_equal(reversal_prev(nxt), want)
 
     @given(small_traces())
     def test_distinct_count_equals_unique(self, trace):

@@ -9,7 +9,7 @@ The paper's pre-processing (Section 3) is one sort yielding ``prev`` and
   ``prev`` builds the ops and selects the distances the curve counts;
 * ``solve_batch`` of k traces sorts each trace once;
 * a ``ChunkedIAF`` chunk sorts ``referenced · chunk`` (r + n accesses)
-  once: the reversal's ``prev`` is that ``next`` mirrored;
+  once: its ``prev`` builds the ops and reads the chunk's distances;
 * the carry update sorts nothing: no ``np.unique``, no ``argsort``.
 """
 
@@ -20,13 +20,10 @@ import pytest
 
 from repro import SolveConfig, solve, solve_batch
 from repro.core import chunked as chunked_module
-from repro.core.api import stack_distances
+from repro.core.api import hit_rate_curve, hit_rate_curves_batch, \
+    stack_distances
 from repro.core.chunked import ChunkedIAF
 from repro.core.engine import iaf_hit_rate_curve, iaf_hit_rate_curves_batch
-from repro.core.parallel import (
-    parallel_iaf_hit_rate_curve,
-    parallel_iaf_hit_rate_curves_batch,
-)
 from repro.core.sampling import sampled_hit_rate_curve
 from repro.core.weighted import weighted_stack_distances
 from repro.qa import count_sorts
@@ -69,7 +66,8 @@ class TestSolve:
         trace = zipf(3000)
         calls = [
             lambda: iaf_hit_rate_curve(trace),
-            lambda: parallel_iaf_hit_rate_curve(trace, workers=2),
+            lambda: hit_rate_curve(
+                trace, SolveConfig(algorithm="parallel-iaf", workers=2)),
             lambda: stack_distances(trace),
             lambda: stack_distances(
                 trace, SolveConfig(algorithm="parallel-iaf", workers=2)),
@@ -82,8 +80,9 @@ class TestSolve:
                 call()
             assert sizes == [trace.size]
         traces = [zipf(700, seed=1), zipf(1100, seed=2)]
+        parallel = SolveConfig(algorithm="parallel-iaf", workers=2)
         for batch in (iaf_hit_rate_curves_batch,
-                      parallel_iaf_hit_rate_curves_batch):
+                      lambda ts: hit_rate_curves_batch(ts, parallel)):
             with count_sorts() as sizes:
                 batch(traces)
             assert sizes == [700, 1100]

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import iaf_distances
-from repro.core.parallel import process_parallel_iaf_distances
 from repro.parallel_exec import ProcessExecutor
 from repro.qa import inject_worker_kills
 from repro.qa.faults import WorkerKillPlan
@@ -37,7 +36,7 @@ class TestKillRecovery:
             for seed in range(25):
                 trace = make_trace(seed)
                 with inject_worker_kills(kills=1) as plan:
-                    got = process_parallel_iaf_distances(
+                    got = iaf_distances(
                         trace, workers=2, executor=ex
                     )
                 assert plan.events, "fault hook never fired"
@@ -53,11 +52,11 @@ class TestKillRecovery:
         """The respawned pool serves later requests without degrading."""
         with ProcessExecutor(workers=2, retry_backoff=0.01) as ex:
             with inject_worker_kills(kills=1):
-                process_parallel_iaf_distances(
+                iaf_distances(
                     make_trace(1), workers=2, executor=ex
                 )
             trace = make_trace(2)
-            got = process_parallel_iaf_distances(
+            got = iaf_distances(
                 trace, workers=2, executor=ex
             )
             assert np.array_equal(got, iaf_distances(trace))
@@ -71,7 +70,7 @@ class TestKillRecovery:
         with ProcessExecutor(workers=2, max_retries=1,
                              retry_backoff=0.01) as ex:
             with inject_worker_kills(kills=None) as plan:
-                got = process_parallel_iaf_distances(
+                got = iaf_distances(
                     trace, workers=2, executor=ex
                 )
             metrics = ex.metrics()
@@ -87,7 +86,7 @@ class TestKillRecovery:
         with ProcessExecutor(workers=2, dispatch_timeout=0.5,
                              retry_backoff=0.01) as ex:
             with inject_worker_kills(kills=1, sig=signal.SIGSTOP):
-                got = process_parallel_iaf_distances(
+                got = iaf_distances(
                     trace, workers=2, executor=ex
                 )
             metrics = ex.metrics()
@@ -101,7 +100,7 @@ class TestKillRecovery:
         with ProcessExecutor(workers=2, retry_backoff=0.01) as ex:
             with tracing() as tracer:
                 with inject_worker_kills(kills=1):
-                    process_parallel_iaf_distances(
+                    iaf_distances(
                         make_trace(5), workers=2, executor=ex
                     )
         names = {e.name for e in tracer.events()}

@@ -16,13 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.parallel as par
+import repro.core.engine as engine
 import repro.parallel_exec as pe
 from repro.core.engine import iaf_distances, iaf_hit_rate_curve
-from repro.core.parallel import (
-    parallel_weighted_backward_distances,
-    process_parallel_iaf_distances,
-)
 from repro.core.weighted import weighted_backward_distances
 from repro.errors import ExecutorError
 from repro.parallel_exec import (
@@ -122,7 +118,7 @@ class TestDifferential:
         for seed in range(25):
             trace = make_trace(seed)
             for workers in (2, 3):
-                got = process_parallel_iaf_distances(
+                got = iaf_distances(
                     trace, workers=workers, executor=executor
                 )
                 assert np.array_equal(got, iaf_distances(trace)), (
@@ -133,15 +129,15 @@ class TestDifferential:
         rng = np.random.default_rng(7)
         trace = rng.integers(0, 120, size=3000)
         sizes = rng.integers(1, 6, size=121)[trace]
-        got = parallel_weighted_backward_distances(
-            trace, sizes, workers=2, use_processes=True, executor=executor
+        got = weighted_backward_distances(
+            trace, sizes, workers=2, executor=executor
         )
         assert np.array_equal(got, weighted_backward_distances(trace, sizes))
 
     def test_both_backends(self, executor):
         trace = make_trace(99)
         for backend in ("fused", "naive"):
-            got = process_parallel_iaf_distances(
+            got = iaf_distances(
                 trace, workers=2, engine_backend=backend, executor=executor
             )
             assert np.array_equal(got, iaf_distances(trace))
@@ -150,10 +146,10 @@ class TestDifferential:
 class TestWarmPool:
     def test_workers_reused_across_requests(self, executor):
         trace = make_trace(3)
-        process_parallel_iaf_distances(trace, workers=2, executor=executor)
+        iaf_distances(trace, workers=2, executor=executor)
         pids = executor.worker_pids()
         for seed in range(4, 8):
-            process_parallel_iaf_distances(
+            iaf_distances(
                 make_trace(seed), workers=2, executor=executor
             )
         assert executor.worker_pids() == pids
@@ -186,9 +182,9 @@ class TestWarmPool:
             # First dispatch warms nothing further (workers exist since
             # construction), but the acceptance wording is about the
             # second request: spy from a clean slate for it.
-            process_parallel_iaf_distances(trace, workers=2, executor=ex)
+            iaf_distances(trace, workers=2, executor=ex)
             monkeypatch.setattr(pe, "_dumps", spy)
-            got = process_parallel_iaf_distances(
+            got = iaf_distances(
                 make_trace(12), workers=2, executor=ex
             )
         assert np.array_equal(got, iaf_distances(make_trace(12)))
@@ -198,7 +194,7 @@ class TestWarmPool:
     def test_counters_track_dispatches(self):
         with ProcessExecutor(workers=2) as ex:
             before = ex.metrics().get("exec.dispatch", 0)
-            process_parallel_iaf_distances(
+            iaf_distances(
                 make_trace(13), workers=2, executor=ex
             )
             metrics = ex.metrics()
@@ -209,7 +205,7 @@ class TestWarmPool:
         from repro.obs import tracing
 
         with tracing() as tracer:
-            process_parallel_iaf_distances(
+            iaf_distances(
                 make_trace(14), workers=2, executor=executor
             )
         assert "exec.dispatch" in {e.name for e in tracer.events()}
@@ -228,25 +224,27 @@ class TestDefaultExecutor:
             shutdown_default_executor()
 
     def test_unbuildable_pool_falls_back_to_threads(self, monkeypatch):
+        from repro import SolveConfig, solve
+
         def no_shared_memory(*args, **kwargs):
             raise OSError("no shared memory")
 
-        threaded = []
-        real_threads = par._solve_split_threads
+        executors = []
+        real_parts = engine._solve_parts
 
-        def spy(*args, **kwargs):
-            threaded.append(True)
-            return real_threads(*args, **kwargs)
+        def spy(parts, out, workers, executor, *args):
+            executors.append(executor)
+            return real_parts(parts, out, workers, executor, *args)
 
         shutdown_default_executor()
         monkeypatch.setattr(pe, "ProcessExecutor", no_shared_memory)
-        monkeypatch.setattr(par, "_solve_split_threads", spy)
+        monkeypatch.setattr(engine, "_solve_parts", spy)
         assert default_executor(2) is None
-        # The thread dispatcher writes the same cells.
+        # process-iaf then splits onto threads, which write the same cells.
         trace = make_trace(21, max_len=800)
-        got = process_parallel_iaf_distances(trace, workers=2)
-        assert np.array_equal(got, iaf_distances(trace))
-        assert threaded
+        got = solve(trace, SolveConfig(algorithm="process-iaf", workers=2))
+        assert np.array_equal(got.distances, iaf_distances(trace))
+        assert executors == [None]
 
     def test_recreated_after_shutdown(self):
         ex = default_executor(2)
@@ -291,7 +289,7 @@ class TestLifecycle:
     def test_tiny_arena_grows_transparently(self):
         trace = make_trace(31)
         with ProcessExecutor(workers=2, arena_bytes=1 << 12) as ex:
-            got = process_parallel_iaf_distances(
+            got = iaf_distances(
                 trace, workers=2, executor=ex
             )
             metrics = ex.metrics()
@@ -385,7 +383,7 @@ class TestConcurrentDispatch:
         results = [None, None]
 
         def run(i, ex):
-            results[i] = process_parallel_iaf_distances(
+            results[i] = iaf_distances(
                 traces[i], workers=2, executor=ex
             )
 
@@ -464,7 +462,58 @@ class TestInt32Publish:
     def test_narrowed_dispatch_is_bit_identical(self):
         trace = make_trace(55, max_len=3000)
         with ProcessExecutor(workers=2) as ex:
-            got = process_parallel_iaf_distances(
+            got = iaf_distances(
                 trace, workers=2, executor=ex
             )
         assert np.array_equal(got, iaf_distances(trace))
+
+
+class TestInlineDegrade:
+    """Parts the arena cannot hold are solved inline on the caller's
+    thread — the rung whose solve primes the very workspace the split
+    level was cut from, so it is exact only when parts own their arrays.
+    """
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "weighted"])
+    def test_arena_full_split_solves_every_part_inline(self, monkeypatch,
+                                                       weighted):
+        rng = np.random.default_rng(23)
+        trace = rng.integers(0, 300, size=6000)
+        sizes = rng.integers(1, 9, size=300)
+        if weighted:
+            want = weighted_backward_distances(trace, sizes)
+        else:
+            want = iaf_distances(trace)
+
+        splits = []
+        real_split = engine._split_segments
+
+        def split_spy(seg, groups):
+            splits.append(real_split(seg, groups))
+            return splits[-1]
+
+        inline = []
+        real_inline = ProcessExecutor._solve_in_process
+
+        def inline_spy(self, part, values, engine_backend):
+            inline.append(part)
+            return real_inline(self, part, values, engine_backend)
+
+        monkeypatch.setattr(engine, "_split_segments", split_spy)
+        monkeypatch.setattr(ProcessExecutor, "_solve_in_process", inline_spy)
+        # No part fits, and the arena may not grow to hold one.
+        monkeypatch.setattr(pe, "_MAX_ARENA_BYTES", 1 << 12)
+        with ProcessExecutor(workers=2, arena_bytes=1 << 12) as ex:
+            if weighted:
+                got = weighted_backward_distances(trace, sizes, workers=4,
+                                                  executor=ex)
+            else:
+                got = iaf_distances(trace, workers=4, executor=ex)
+            metrics = ex.metrics()
+        assert np.array_equal(got, want)
+        (parts,) = splits
+        assert len(parts) > 1
+        assert [id(p) for p in inline] == [id(p) for p in parts]
+        assert metrics["exec.arena_full"] == len(parts)
+        assert metrics.get("exec.jobs", 0) == 0

@@ -19,7 +19,6 @@ from repro.cache.lru import simulate_lru
 from repro.core.bounded import bounded_iaf
 from repro.core.engine import iaf_distances
 from repro.core.external import external_iaf_distances
-from repro.core.parallel import parallel_iaf_distances
 from repro.core.partition import prepost_distances
 from repro.core.reference import reference_distances
 from repro.extmem.blockdevice import MemoryConfig
@@ -56,7 +55,7 @@ class TestDistanceVectorAgreement:
 
     def test_engine_vs_parallel(self, name, trace):
         assert np.array_equal(
-            iaf_distances(trace), parallel_iaf_distances(trace, workers=4)
+            iaf_distances(trace), iaf_distances(trace, workers=4)
         )
 
     def test_engine_vs_bruteforce(self, name, trace):

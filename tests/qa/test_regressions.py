@@ -26,16 +26,12 @@ shrinker minimizes the reproducer to a handful of accesses.
 import numpy as np
 import pytest
 
-import repro.core.parallel as parallel_mod
+import repro.core.engine as engine_mod
 from repro.core.engine import EngineStats, Segments, iaf_distances
-from repro.core.parallel import (
-    parallel_iaf_distances,
-    parallel_weighted_backward_distances,
-    process_parallel_iaf_distances,
-)
 from repro.core.streaming import OnlineCurveAnalyzer
 from repro.core.weighted import weighted_backward_distances
 from repro.errors import TraceError
+from repro.parallel_exec import default_executor
 from repro.qa import (
     FuzzCase,
     FuzzConfig,
@@ -58,22 +54,20 @@ class TestWeightDropFix:
         trace, sizes = _weighted_inputs()
         expected = weighted_backward_distances(trace, sizes)
         for workers in (1, 2, 3, 7):
-            got = parallel_weighted_backward_distances(
-                trace, sizes, workers=workers
-            )
+            got = weighted_backward_distances(trace, sizes, workers=workers)
             assert np.array_equal(got, expected), f"workers={workers}"
 
     def test_split_preserves_weights_processes(self):
         trace, sizes = _weighted_inputs()
         expected = weighted_backward_distances(trace, sizes)
-        got = parallel_weighted_backward_distances(
-            trace, sizes, workers=2, use_processes=True
+        got = weighted_backward_distances(
+            trace, sizes, workers=2, executor=default_executor(2)
         )
         assert np.array_equal(got, expected)
 
     def test_oracle_catches_reintroduced_drop(self, monkeypatch):
         """Re-inject the bug: the matrix must fail and shrink to <= 16."""
-        orig = parallel_mod._split_segments
+        orig = engine_mod._split_segments
 
         def dropping_split(seg, groups):
             return [
@@ -82,7 +76,7 @@ class TestWeightDropFix:
                 for p in orig(seg, groups)
             ]
 
-        monkeypatch.setattr(parallel_mod, "_split_segments", dropping_split)
+        monkeypatch.setattr(engine_mod, "_split_segments", dropping_split)
 
         failing = None
         for seed in range(30):
@@ -103,7 +97,7 @@ class TestWeightDropFix:
         assert run_case(small), "shrunk case no longer reproduces"
 
         # With the real (fixed) split restored, the reproducer passes.
-        monkeypatch.setattr(parallel_mod, "_split_segments", orig)
+        monkeypatch.setattr(engine_mod, "_split_segments", orig)
         assert run_case(small) == []
 
 
@@ -115,7 +109,7 @@ class TestStatsMergeFix:
     def test_merged_stats_keep_peak_bytes_and_levels(self):
         trace = self._trace()
         stats = EngineStats()
-        parallel_iaf_distances(trace, workers=4, stats=stats)
+        iaf_distances(trace, workers=4, stats=stats)
         assert stats.peak_bytes > 0
         assert stats.levels > 0
         assert len(stats.ops_per_level) == stats.levels
@@ -125,14 +119,14 @@ class TestStatsMergeFix:
         serial = EngineStats()
         iaf_distances(trace, stats=serial)
         par = EngineStats()
-        parallel_iaf_distances(trace, workers=4, stats=par)
+        iaf_distances(trace, workers=4, stats=par)
         assert par.ops_per_level == serial.ops_per_level
         assert par.work == serial.work
 
     def test_process_pool_still_matches_engine(self):
         trace = self._trace()
         assert np.array_equal(
-            process_parallel_iaf_distances(trace, workers=2),
+            iaf_distances(trace, workers=2, executor=default_executor(2)),
             iaf_distances(trace),
         )
 
