@@ -1,15 +1,21 @@
-"""Fused-vs-naive partition kernels, steady-state allocations, batch solving.
+"""Fused-vs-naive partition kernels, op width, steady-state allocations,
+batch solving.
 
-Three measurements behind the engine-core rework, each against the
+Four measurements behind the engine-core rework, each against the
 acceptance bars recorded in ``BENCH_engine_kernels.json``:
 
 * **level loop** — ``solve_prepost_arrays`` on a prebuilt 1M-access zipf
-  op batch, fused vs naive backend (the prepost compile and the
-  prev/next scan are identical across backends and excluded).  Bar:
-  fused >= 1.3x.  When numba is installed the compiled backend joins
-  the A/B (bar: compiled >= 2x over fused) and a thread-scaling sweep
-  records the ``prange`` speedup per ``numba.set_num_threads`` width;
-  without numba both record honest "unavailable" metadata instead.
+  op batch stored as int64, fused vs naive backend (the prepost compile
+  and the prev/next scan are identical across backends and excluded).
+  Bar: fused >= 1.3x.  When numba is installed the compiled backend
+  joins the A/B (bar: compiled >= 2x over fused) and a thread-scaling
+  sweep records the ``prange`` speedup per ``numba.set_num_threads``
+  width; without numba both record honest "unavailable" metadata
+  instead.
+* **width** — the fused level loop on the same root stored as int64 and
+  at the width :func:`~repro.core.engine.certify_int32` certifies
+  (int32 ops and an int32 accumulator), the form every unpinned solve
+  runs.  Bar: int32 no slower than int64 within the 10% headroom.
 * **steady-state allocations** — tracemalloc peak bytes and live blocks
   during a solve *after* warm-up: the naive backend re-allocates every
   level's arrays, the fused backend runs inside the thread's primed
@@ -17,14 +23,14 @@ acceptance bars recorded in ``BENCH_engine_kernels.json``:
   >= 2x lower.
 * **batch throughput** — 64 independent 16k traces solved as one
   batched level loop vs a per-trace python loop, both in the thread's
-  workspace.  Bar: batch >= 1x
+  workspace and both at the certified int32 width.  Bar: batch >= 1x
   (the 1.5x design target needs the dispatch amortization to matter,
   i.e. more than one slow core — see docs/PERFORMANCE.md).
 
 Runs two ways: under pytest like the sibling benches (``pytest
 benchmarks/bench_engine_kernels.py``), or as a script (CI's perf-smoke
 job) which writes the JSON and exits nonzero when fused regresses more
-than 10% behind naive::
+than 10% behind naive, or int32 more than 10% behind int64::
 
     PYTHONPATH=src python benchmarks/bench_engine_kernels.py
 
@@ -48,15 +54,18 @@ import numpy as np
 from repro.core import compiled
 from repro.core.engine import (
     Segments,
+    certify_int32,
     iaf_distances,
     iaf_distances_batch,
     solve_prepost_arrays,
+    thread_workspace,
 )
 from repro.core.ops import prepost_sequence_arrays
 from repro.metrics.timing import median_time
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_kernels.json"
 REGRESSION_HEADROOM = 1.10  # CI fails if fused > naive * this
+#                             (and if int32 > int64 * this)
 COMPILED_SPEEDUP_BAR = 2.0  # compiled must beat fused by this when jitted
 BATCH_CHILD_FLAG = "--batch-child"  # internal: one isolated timing side
 
@@ -75,8 +84,8 @@ def _zipf_trace(n: int, seed: int = 42) -> np.ndarray:
     return (rng.zipf(1.2, size=n) % UNIVERSE).astype(np.int64)
 
 
-def _root_segments(trace: np.ndarray) -> Segments:
-    kind, t, r = prepost_sequence_arrays(trace)
+def _root_segments(trace: np.ndarray, dtype=np.int64) -> Segments:
+    kind, t, r = prepost_sequence_arrays(trace, dtype=dtype)
     return Segments.single(kind, t, r, 0, trace.size)
 
 
@@ -118,6 +127,43 @@ def measure_level_loop(n: int) -> Dict[str, float]:
             fused_s / compiled_s if compiled_s else float("inf")
         )
     return out
+
+
+def measure_width(n: int) -> Dict[str, object]:
+    """Median seconds of the fused level loop per op width.
+
+    The same trace's root ops, stored as int64 and as int32, solved in
+    alternating rounds so drift hits both widths alike.  The int32 root
+    must pass :func:`certify_int32`, and its solve must then accumulate
+    in int32: that is the width rule every unpinned solve runs under.
+    """
+    trace = _zipf_trace(n)
+    seg64 = _root_segments(trace, np.int64)
+    seg32 = _root_segments(trace, np.int32)
+    if not certify_int32(0, trace.size, seg32.r):
+        raise AssertionError("the int32 root must certify")
+    values = np.zeros(trace.size + 1, dtype=np.int64)
+    times: Dict[str, List[float]] = {"int64": [], "int32": []}
+    acc = {}
+    for seg in (seg64, seg32):  # warm up (and size both buffer sets)
+        solve_prepost_arrays(seg, values, engine_backend="fused")
+    for _round in range(REPEATS):
+        for name, seg in (("int64", seg64), ("int32", seg32)):
+            values.fill(0)
+            t0 = time.perf_counter()
+            solve_prepost_arrays(seg, values, engine_backend="fused")
+            times[name].append(time.perf_counter() - t0)
+            acc[name] = str(thread_workspace().acc_dtype)
+    int64_s = float(np.median(times["int64"]))
+    int32_s = float(np.median(times["int32"]))
+    return {
+        "n": n,
+        "int64_s": int64_s,
+        "int32_s": int32_s,
+        "int64_acc": acc["int64"],
+        "int32_acc": acc["int32"],
+        "speedup": int64_s / int32_s if int32_s else float("inf"),
+    }
 
 
 def measure_thread_scaling(n: int) -> Dict[str, object]:
@@ -272,6 +318,7 @@ def run_all(n: int) -> Dict[str, Dict[str, float]]:
     batch = measure_batch()
     return {
         "level_loop": measure_level_loop(n),
+        "width": measure_width(n),
         "thread_scaling": measure_thread_scaling(n),
         "steady_state_alloc": measure_allocations(n),
         "batch": batch,
@@ -289,11 +336,14 @@ def _render(results: Dict[str, Dict[str, float]]) -> str:
     from repro.analysis.report import render_table
 
     lvl = results["level_loop"]
+    width = results["width"]
     alloc = results["steady_state_alloc"]
     batch = results["batch"]
     rows: List[List[object]] = [
         ["level loop (s)", f"{lvl['naive_s']:.3f}", f"{lvl['fused_s']:.3f}",
          f"{lvl['speedup']:.2f}x"],
+        ["fused int64 / int32 (s)", f"{width['int64_s']:.3f}",
+         f"{width['int32_s']:.3f}", f"{width['speedup']:.2f}x"],
         ["peak alloc (MB)", f"{alloc['naive_peak_bytes'] / 1e6:.1f}",
          f"{alloc['fused_peak_bytes'] / 1e6:.1f}",
          f"{alloc['peak_ratio']:.1f}x"],
@@ -341,9 +391,15 @@ def test_engine_kernels(benchmark):
     write_result("engine_kernels", _render(results))
     lvl, alloc, batch = (results["level_loop"],
                          results["steady_state_alloc"], results["batch"])
+    width = results["width"]
     assert lvl["fused_s"] <= lvl["naive_s"] * REGRESSION_HEADROOM, (
         f"fused level loop regressed: {lvl['fused_s']:.3f}s vs naive "
         f"{lvl['naive_s']:.3f}s"
+    )
+    assert width["int32_acc"] == "int32"
+    assert width["int32_s"] <= width["int64_s"] * REGRESSION_HEADROOM, (
+        f"int32 level loop regressed: {width['int32_s']:.3f}s vs int64 "
+        f"{width['int64_s']:.3f}s"
     )
     assert alloc["peak_ratio"] >= 2.0
     assert batch["speedup"] >= 1.0
@@ -367,6 +423,17 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
+    width = results["width"]
+    if (width["int32_acc"] != "int32"
+            or width["int32_s"] > width["int64_s"] * REGRESSION_HEADROOM):
+        print(
+            f"FAIL: int32 level loop {width['int32_s']:.3f}s "
+            f"(accumulating in {width['int32_acc']}) is more than "
+            f"{(REGRESSION_HEADROOM - 1) * 100:.0f}% slower than int64 "
+            f"{width['int64_s']:.3f}s",
+            file=sys.stderr,
+        )
+        return 1
     if ("compiled_s" in lvl
             and lvl["compiled_speedup_vs_fused"] < COMPILED_SPEEDUP_BAR):
         print(
@@ -378,6 +445,7 @@ def main() -> int:
         return 1
     print(
         f"ok: fused {lvl['speedup']:.2f}x vs naive on the level loop; "
+        f"int32 {width['speedup']:.2f}x vs int64; "
         f"peak-allocation ratio {results['steady_state_alloc']['peak_ratio']:.1f}x; "
         f"batch speedup {results['batch']['speedup']:.2f}x"
     )

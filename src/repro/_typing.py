@@ -8,7 +8,7 @@ into canonical contiguous integer arrays.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,13 +25,16 @@ SUPPORTED_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 DEFAULT_DTYPE = np.dtype(np.int64)
 
 
-def validate_dtype(dtype: "np.typing.DTypeLike") -> np.dtype:
+def validate_dtype(dtype: Optional["np.typing.DTypeLike"]) -> np.dtype:
     """Return the canonical :class:`numpy.dtype`, rejecting unsupported ones.
+
+    ``None`` is an unpinned width: addresses take :data:`DEFAULT_DTYPE`
+    (the engine then certifies its own counter width).
 
     >>> validate_dtype("int32")
     dtype('int32')
     """
-    dt = np.dtype(dtype)
+    dt = DEFAULT_DTYPE if dtype is None else np.dtype(dtype)
     if dt not in SUPPORTED_DTYPES:
         raise TraceError(
             f"unsupported dtype {dt!r}; supported: "
@@ -40,8 +43,9 @@ def validate_dtype(dtype: "np.typing.DTypeLike") -> np.dtype:
     return dt
 
 
-def as_trace(trace: TraceLike, dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE) -> np.ndarray:
-    """Convert ``trace`` to a contiguous 1-D integer array of ``dtype``.
+def as_trace(trace: TraceLike, dtype: Optional["np.typing.DTypeLike"] = DEFAULT_DTYPE) -> np.ndarray:
+    """Convert ``trace`` to a contiguous 1-D integer array of ``dtype``
+    (``None``: :data:`DEFAULT_DTYPE`, see :func:`validate_dtype`).
 
     Addresses must be non-negative integers.  Raises :class:`TraceError`
     on malformed input (floats, negative addresses, multi-dimensional

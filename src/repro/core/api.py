@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, as_trace
+from .._typing import TraceLike, as_trace
 from ..errors import ReproError
 from ..extmem.blockdevice import MemoryConfig
 from .bounded import bounded_iaf
@@ -139,7 +139,8 @@ def _solve_dispatch(
 ) -> Tuple[HitRateCurve, Optional[np.ndarray], Optional[Any]]:
     """Dispatch one solve; returns ``(curve, distances, stats)``."""
     algorithm = cfg.algorithm
-    dtype = DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype
+    # cfg.dtype pins the engine's width; None certifies it per solve.
+    dtype = cfg.dtype
     arr = as_trace(trace, dtype=dtype)
     if stats is None and algorithm in ENGINE_ALGORITHMS:
         stats = EngineStats()
@@ -215,10 +216,7 @@ def solve_batch(
     if stats is None:
         stats = EngineStats()
     t0 = time.perf_counter()
-    arrs = [
-        as_trace(t, dtype=DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype)
-        for t in traces
-    ]
+    arrs = [as_trace(t, dtype=cfg.dtype) for t in traces]
     prevs = [preprocess_prev(a, engine_backend=cfg.engine_backend)
              for a in arrs]
     distances = iaf_distances_batch(
@@ -278,13 +276,12 @@ def stack_distances(
             f"stack_distances supports iaf/parallel-iaf/process-iaf/"
             f"reference, got {cfg.algorithm!r}"
         )
-    dtype = DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype
-    arr = as_trace(trace, dtype=dtype)
+    arr = as_trace(trace, dtype=cfg.dtype)
     prev, _ = prev_next_arrays(arr, engine_backend=cfg.engine_backend)
     if cfg.algorithm == "reference":
         d = reference_distances(arr)
     else:
-        d = iaf_distances(arr, dtype=dtype,
+        d = iaf_distances(arr, dtype=cfg.dtype,
                           engine_backend=cfg.engine_backend, prev=prev,
                           **_parallelism(cfg))
     out = np.zeros(arr.size, dtype=np.int64)

@@ -107,7 +107,7 @@ def bounded_iaf(
     max_cache_size: Optional[int] = None,
     *,
     chunk_multiplier: int = 1,
-    dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+    dtype: Optional["np.typing.DTypeLike"] = None,
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
@@ -121,7 +121,9 @@ def bounded_iaf(
 
     Memory charged to ``memory`` is the algorithm's O(k) working set:
     ``Q̄``, the current chunk, and the engine state for ``Q̄ · C_i`` —
-    never the whole trace.
+    never the whole trace.  ``dtype`` is the chunk engine's
+    (:class:`~repro.core.chunked.ChunkedIAF`): ``None`` keeps int64
+    addresses and certifies each chunk solve's width.
     """
     arr = as_trace(trace, dtype=dtype)
     n = arr.size

@@ -58,7 +58,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
+from .._typing import TraceLike, as_trace, validate_dtype
 from ..errors import CapacityError, ReproError
 from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
@@ -114,6 +114,13 @@ class ChunkedIAF:
     carry to the ``k`` most recent living requests and solves chunks
     into ``truncated_at=k`` curves — the BOUNDED-IAF regime.
 
+    ``dtype=None`` keeps int64 addresses and solves each chunk at the
+    width :func:`~repro.core.engine.certify_int32` proves exact: a
+    chunk solve's positions stay below ``r + n <= 2 * chunk_size``
+    however wide the addresses, so that is int32 ops and an int32
+    accumulator for any chunk short of ~2²⁹ accesses.  An explicit
+    ``dtype`` pins addresses and chunk solves alike.
+
     An engine owns no level buffers: each chunk solve runs in the
     calling thread's :func:`~repro.core.engine.thread_workspace`, so any
     number of engines (one per tenant) pushed from one thread share one
@@ -125,7 +132,7 @@ class ChunkedIAF:
         chunk_size: Optional[int] = None,
         *,
         max_cache_size: Optional[int] = None,
-        dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+        dtype: Optional["np.typing.DTypeLike"] = None,
         engine_backend: Optional[str] = None,
         stats: Optional[EngineStats] = None,
         memory: Optional[MemoryModel] = None,
@@ -144,6 +151,8 @@ class ChunkedIAF:
         self._chunk_size = int(chunk_size)
         self._k = None if max_cache_size is None else int(max_cache_size)
         self._dtype = validate_dtype(dtype)
+        #: The chunk solves' pinned width, or None for certified.
+        self._width = None if dtype is None else self._dtype
         self._backend = resolve_engine_backend(engine_backend)
         self._stats = stats
         self._memory = memory
@@ -398,7 +407,7 @@ class ChunkedIAF:
         if self._memory is not None:
             self._memory.observe("chunked.chunk", int(solved.nbytes) * 2)
         prev, nxt = prev_next_arrays(solved, engine_backend=self._backend)
-        d = iaf_distances(solved, dtype=self._dtype, stats=self._stats,
+        d = iaf_distances(solved, dtype=self._width, stats=self._stats,
                           engine_backend=self._backend, prev=prev)
         d[:r] += (m - 1 - ref_idx) - (r - 1 - np.arange(r))
         prev_chunk = prev[r:]
@@ -450,7 +459,7 @@ def chunked_iaf(
     trace: TraceLike,
     chunk_size: Optional[int] = None,
     *,
-    dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+    dtype: Optional["np.typing.DTypeLike"] = None,
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
@@ -459,7 +468,8 @@ def chunked_iaf(
 
     Feeds ``trace`` through :class:`ChunkedIAF` in ``chunk_size`` runs;
     the returned curve is bit-identical to the batch engine's, but the
-    working set never exceeds O(u + chunk_size).
+    working set never exceeds O(u + chunk_size).  ``dtype`` is
+    :class:`ChunkedIAF`'s.
     """
     arr = as_trace(trace, dtype=dtype)
     engine = ChunkedIAF(

@@ -64,9 +64,12 @@ BATCHABLE_ALGORITHMS = ("iaf", "parallel-iaf")
 class SolveConfig:
     """How to solve one hit-rate-curve request.
 
-    ``dtype=None`` means "the library default" — ``int64`` for single
-    solves, automatic narrowing certification for batched solves (see
-    :func:`repro.core.engine.batch_segments`).  ``chunk_size`` is the
+    ``dtype=None`` means "the library default": int64 addresses, and
+    every engine solve — single, batched, chunked, bounded — runs int32
+    ops and an int32 accumulator wherever
+    :func:`repro.core.engine.certify_int32` proves them exact, int64
+    otherwise.  An explicit ``dtype`` pins addresses and counters alike
+    (the Section 9.5 width knob).  ``chunk_size`` is the
     per-chunk run length of ``chunked-iaf`` (``None`` means the module default,
     :data:`repro.core.chunked.DEFAULT_CHUNK_SIZE`); the result is
     bit-identical for every value, only the working set changes.  Other

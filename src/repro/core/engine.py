@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
+from .._typing import TraceLike, as_trace, validate_dtype
 from ..errors import CapacityError, ReproError
 from ..metrics.memory import MemoryModel
 from ..obs import NULL_SPAN, get_tracer
@@ -277,7 +277,7 @@ class Workspace:
     ``L`` reads its input from side ``L % 2 ^ 1`` and writes its children
     into side ``L % 2``, so steady-state levels perform **zero** fresh
     array allocations.  Buffers are keyed by ``(name, dtype)``: an
-    ``int32``-certified batch and an ``int64`` chunk solve on one thread
+    ``int32``-certified solve and an explicit ``int64`` one on one thread
     keep separate buffers instead of reallocating each other's.  Solves
     get their pool from :func:`thread_workspace`; a workspace must never
     serve two solves at once.
@@ -361,23 +361,10 @@ class Workspace:
         seg_cap = cells + 2
         t_dt, r_dt = seg.t.dtype, seg.r.dtype
         weighted = seg.w is not None
-        # The batch's total merge effect bounds every cluster-sum the
-        # kernel can form (c0 prefix sums, kept-run sums, head values):
-        # a child segment's effect total never exceeds its parent's, and
-        # c0 scans one chunk of one level.  When that bound fits a
-        # narrow ``r`` dtype the whole solve accumulates natively in it
-        # — no per-chunk upcast, half the memory traffic per pass.
-        acc = np.dtype(np.int64)
-        if r_dt.itemsize < 8 and seg.n_ops:
-            bound = int(seg.r.sum(dtype=np.int64))
-            nonneg = int(seg.r.min()) >= 0
-            if weighted:
-                bound += int(seg.w.sum(dtype=np.int64))
-                nonneg = nonneg and int(seg.w.min()) >= 0
-            else:
-                bound += seg.n_ops
-            if nonneg and bound <= np.iinfo(r_dt).max:
-                acc = r_dt
+        # Narrow ops accumulate natively in their own width whenever
+        # certify_int32 proves the solve exact there (its docstring has
+        # the proof): no per-chunk upcast, half the traffic per pass.
+        acc = _accumulator(seg, backend)
         self.acc_dtype = acc
         self.array("g_kind", ops_cap, np.uint8)
         self.array("g_t", ops_cap, t_dt)
@@ -459,6 +446,21 @@ class Workspace:
             self.array(f"starts{side}", seg_cap, np.int64)
             self.array(f"lo{side}", seg_cap, np.int64)
             self.array(f"hi{side}", seg_cap, np.int64)
+
+
+def _accumulator(seg: Segments, backend: str) -> np.dtype:
+    """The fused kernel's cluster-sum width for a solve of ``seg``.
+
+    The batch's own narrow ``r`` dtype when :func:`certify_int32` proves
+    the solve exact in it, ``int64`` otherwise (and always for the naive
+    and compiled kernels, which sum in ``int64``).
+    """
+    r_dt = seg.r.dtype
+    if (backend == "fused" and r_dt.itemsize < 8 and seg.n_ops
+            and certify_int32(int(seg.lo.min()), int(seg.hi.max()),
+                              seg.r, seg.w)):
+        return r_dt
+    return np.dtype(np.int64)
 
 
 _THREAD = threading.local()
@@ -641,8 +643,9 @@ def _check_head_overflow(encoded: np.ndarray, dtype: np.dtype) -> None:
     range; the silent wrap would corrupt every distance downstream of the
     head.  Raising keeps the failure at the first unrepresentable write.
     """
-    if encoded.size == 0 or np.dtype(dtype).itemsize >= 8:
-        return
+    if (encoded.size == 0
+            or encoded.dtype.itemsize <= np.dtype(dtype).itemsize):
+        return  # every encoded value fits by construction
     info = np.iinfo(dtype)
     mx = int(encoded.max())
     mn = int(encoded.min())
@@ -1562,10 +1565,35 @@ def solve_prepost_arrays(
         memory.observe("engine.segments", 0)
 
 
+def _root_ops(
+    arr: np.ndarray, prev: np.ndarray, dtype: Optional[np.dtype]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``arr``'s ops at its solve's width.
+
+    A pinned ``dtype`` is honored.  Otherwise the ops are built as int32
+    and kept when :func:`certify_int32` passes, which it does for any
+    trace short of ~2³⁰ accesses; past that they are rebuilt as int64.
+    """
+    if dtype is not None:
+        return prepost_sequence_arrays(arr, dtype=dtype, prev=prev)
+    n = arr.size
+    if n <= np.iinfo(np.int32).max:
+        kind, t, r = prepost_sequence_arrays(arr, dtype=np.int32, prev=prev)
+        if certify_int32(0, n, r):
+            return kind, t, r
+    return prepost_sequence_arrays(arr, dtype=np.int64, prev=prev)
+
+
+def _width_attrs(seg: Segments, backend: str) -> Dict[str, str]:
+    """The ``width``/``acc`` span attributes of a solve of ``seg``."""
+    return {"width": str(seg.r.dtype),
+            "acc": str(_accumulator(seg, backend))}
+
+
 def iaf_distances(
     trace: TraceLike,
     *,
-    dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+    dtype: Optional["np.typing.DTypeLike"] = None,
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
@@ -1580,6 +1608,12 @@ def iaf_distances(
     distinct count of the remaining suffix instead; they are ignored by
     curve construction, mirroring Lemma 4.1's accounting).
 
+    ``dtype=None`` reads the trace as int64 addresses and solves it in
+    int32 ops and an int32 accumulator whenever :func:`certify_int32`
+    proves that exact; an explicit ``dtype`` pins addresses, ops and
+    accumulator alike (the Section 9.5 width knob).  The distances are
+    the same either way.
+
     ``prev`` is the trace's ``prev`` array when the caller already holds
     it (it needs it for its curve); otherwise the trace is sorted here,
     once, by :func:`prev_next_arrays` under ``engine_backend``.
@@ -1587,18 +1621,18 @@ def iaf_distances(
     processes as :func:`solve_prepost_arrays` describes; the distances
     are the same for every choice.
     """
-    arr = as_trace(trace, dtype=dtype)
+    dt = None if dtype is None else validate_dtype(dtype)
+    arr = as_trace(trace, dtype=dt)
     n = arr.size
     engine_backend = resolve_engine_backend(engine_backend)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     tracer = get_tracer()
     traced = tracer.enabled
-    dt = validate_dtype(dtype)
     with tracer.span("iaf.preprocess", n=n) if traced else NULL_SPAN:
         if prev is None:
             prev, _ = prev_next_arrays(arr, engine_backend=engine_backend)
-        kind, t, r = prepost_sequence_arrays(arr, dtype=dt, prev=prev)
+        kind, t, r = _root_ops(arr, prev, dt)
         # Not held across the level loop: a prev sorted here is freed.
         prev = None
     if memory is not None:
@@ -1609,7 +1643,8 @@ def iaf_distances(
     # then holds one level's ops, not the root's as well.
     root = [Segments.single(kind, t, r, 0, n)]
     del kind, t, r
-    span = (tracer.span("iaf.solve", n=n, backend=engine_backend)
+    span = (tracer.span("iaf.solve", n=n, backend=engine_backend,
+                        **_width_attrs(root[0], engine_backend))
             if traced else NULL_SPAN)
     with span:
         solve_prepost_arrays(root.pop(), values, stats=stats, memory=memory,
@@ -1623,7 +1658,7 @@ def iaf_distances(
 def iaf_hit_rate_curve(
     trace: TraceLike,
     *,
-    dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+    dtype: Optional["np.typing.DTypeLike"] = None,
     stats: Optional[EngineStats] = None,
     memory: Optional[MemoryModel] = None,
     engine_backend: Optional[str] = None,
@@ -1631,7 +1666,8 @@ def iaf_hit_rate_curve(
     """Full pipeline: pre-process, distance computation, post-process.
 
     The trace is sorted once: its ``prev`` builds the operations and
-    then selects the distances the curve counts.
+    then selects the distances the curve counts.  ``dtype`` is
+    :func:`iaf_distances`'.
     """
     arr = as_trace(trace, dtype=dtype)
     prev = preprocess_prev(arr, engine_backend=engine_backend)
@@ -1678,27 +1714,51 @@ def postprocess_curve(d: np.ndarray, prev: np.ndarray) -> HitRateCurve:
 
 def certify_int32(lo: int, hi: int, r: np.ndarray,
                   w: Optional[np.ndarray] = None) -> bool:
-    """Whether ops can be stored as int32 and solved bit-identically.
+    """Whether a batch of ops solves bit-identically in int32.
 
-    Every position (``t`` and the cell bounds) must lie in ``[lo, hi]``
-    and that range must fit; ``r`` must be ``>= -1`` and ``w`` (when
-    weighted) ``>= 0``.  Then ``sum(r)`` plus one per op (plus
-    ``sum(w)``) — the batch's total merge effect, an upper bound on
-    every cluster-sum any level can form — must fit too, so narrow
-    storage cannot wrap.  :func:`batch_segments` narrows a batch by this
-    rule and the process executor a published part.
+    The level loop's one width rule: when it holds, the ops may be
+    stored as int32 *and* the fused kernel may accumulate in int32.
+    Every position (``t`` and the cell bounds) must lie in ``[lo, hi]``,
+    which must fit, and ``w`` (when weighted) must be ``>= 0``.  The
+    values then stay exact in two steps:
+
+    1. Every value the kernel stores — a kept op's ``r``, a head, a
+       leaf's distance — is a sum over distinct ops of the batch: each
+       op lands in one run of each child segment, and a child op sums
+       one run.  Each op contributes ``r`` or ``r + 1`` (``r`` or
+       ``r + w`` when weighted), or just its ``+1`` (``w``) as a
+       leaf's freezing Postfix.  So every stored value lies in
+       ``[Σ min(r, 0) − 1, Σ max(r, 0) + #ops]``, with ``Σw`` in
+       place of ``#ops`` when weighted; the ``− 1`` is a unit head's
+       ``e − 1`` encoding.  Both ends must fit int32.  For a trace's own ops
+       (``r`` is ``−1`` or ``0``) that is ``[−#ops − 1, #ops]``.
+    2. The kernel's running sum ``c0`` spans every segment of a level
+       chunk, so it can exceed int32 and wrap.  It is only read as a
+       difference of two positions inside one segment, and each such
+       difference is a value of step 1.  int32 arithmetic is exact
+       modulo 2³², so the wrap cancels.
+
+    Every engine solve whose caller pinned no ``dtype`` applies this
+    rule to its root ops, and :meth:`Workspace.prime` to its
+    accumulator.
     """
     i32 = np.iinfo(np.int32)
     if lo < i32.min or hi > i32.max:
         return False
-    if r.size and int(r.min()) < -1:
-        return False
-    bound = int(r.sum(dtype=np.int64)) + r.size
-    if w is not None:
+    for arr in (r, w):
+        # Wide values past int32 could overflow the int64 sums below.
+        if arr is not None and arr.size and arr.dtype.itemsize > 4 and (
+                int(arr.max()) > i32.max or int(arr.min()) < i32.min):
+            return False
+    neg = int(np.minimum(r, 0).sum(dtype=np.int64))
+    pos = int(r.sum(dtype=np.int64)) - neg
+    if w is None:
+        pos += r.size
+    else:
         if w.size and int(w.min()) < 0:
             return False
-        bound += int(w.sum(dtype=np.int64))
-    return bound <= i32.max
+        pos += int(w.sum(dtype=np.int64))
+    return neg - 1 >= i32.min and pos <= i32.max
 
 
 def batch_segments(
@@ -1715,11 +1775,12 @@ def batch_segments(
     accordingly — so a single level loop carries all ``k`` traces and
     every vectorized pass is amortized across them.
 
-    When ``dtype`` is omitted, the batch compiler narrows the op arrays
-    to ``int32`` whenever :func:`certify_int32` certifies the solve
-    exact there: every position fits (``total_cells - 1``) and the
-    batch's total merge effect fits.  Half the per-pass memory traffic,
-    bit-identical distances.  An explicit ``dtype`` is always honored.
+    When ``dtype`` is omitted, the traces are int64 addresses and the
+    op arrays are int32 whenever :func:`certify_int32` certifies the
+    batch's solve exact there: every position fits (``total_cells - 1``)
+    and so do the batch's stored values.  Half the per-pass memory
+    traffic, bit-identical distances.  An explicit ``dtype`` is always
+    honored.
 
     ``prevs`` holds each trace's ``prev`` when the caller sorted them
     already (as :func:`iaf_distances` takes ``prev``); otherwise each
@@ -1728,7 +1789,7 @@ def batch_segments(
     Returns ``(validated traces, segments, bases, total_cells)``.
     """
     auto = dtype is None
-    dt = validate_dtype(DEFAULT_DTYPE if auto else dtype)
+    dt = validate_dtype(dtype)
     arrs = [as_trace(t, dtype=dt) for t in traces]
     sizes = np.array([a.size for a in arrs], dtype=np.int64)
     bases = np.zeros(len(arrs) + 1, dtype=np.int64)
@@ -1740,15 +1801,19 @@ def batch_segments(
             f"batch of {len(arrs)} traces spans {total_cells} cells, "
             f"which does not fit in {dt}; use dtype=int64"
         )
+    # Auto width builds int32 ops whenever the positions fit, then
+    # certifies them (widening only a batch of ~2³⁰ accesses or more).
+    narrow = auto and total_cells - 1 <= np.iinfo(np.int32).max
+    op_dt = np.dtype(np.int32) if narrow else dt
     kinds: List[np.ndarray] = []
     ts: List[np.ndarray] = []
     rs: List[np.ndarray] = []
     if prevs is None:
         prevs = [None] * len(arrs)
     for arr, prev, base in zip(arrs, prevs, bases[:-1].tolist()):
-        kind, t, r = prepost_sequence_arrays(arr, dtype=dt, prev=prev)
+        kind, t, r = prepost_sequence_arrays(arr, dtype=op_dt, prev=prev)
         if base:
-            t = t + dt.type(base)
+            t += op_dt.type(base)
         kinds.append(kind)
         ts.append(t)
         rs.append(r)
@@ -1756,11 +1821,11 @@ def batch_segments(
     starts = np.zeros(len(arrs) + 1, dtype=np.int64)
     if len(arrs):
         np.cumsum(op_counts, out=starts[1:])
-    t_all = np.concatenate(ts) if ts else np.zeros(0, dtype=dt)
-    r_all = np.concatenate(rs) if rs else np.zeros(0, dtype=dt)
-    if auto and r_all.size and certify_int32(0, total_cells - 1, r_all):
-        t_all = t_all.astype(np.int32)
-        r_all = r_all.astype(np.int32)
+    t_all = np.concatenate(ts) if ts else np.zeros(0, dtype=op_dt)
+    r_all = np.concatenate(rs) if rs else np.zeros(0, dtype=op_dt)
+    if narrow and not certify_int32(0, total_cells - 1, r_all):
+        t_all = t_all.astype(np.int64)
+        r_all = r_all.astype(np.int64)
     seg = Segments(
         kind=np.concatenate(kinds) if kinds else np.zeros(0, dtype=np.uint8),
         t=t_all,
@@ -1808,7 +1873,8 @@ def iaf_distances_batch(
     span = (
         tracer.span("iaf.solve_batch", k=len(arrs),
                     n=int(sum(a.size for a in arrs)),
-                    backend=engine_backend)
+                    backend=engine_backend,
+                    **_width_attrs(seg, engine_backend))
         if tracer.enabled
         else NULL_SPAN
     )
@@ -1836,8 +1902,7 @@ def iaf_hit_rate_curves_batch(
     style workload of many small/medium traces) ride one level loop.
     Curves are identical to ``[iaf_hit_rate_curve(t) for t in traces]``.
     """
-    arrs = [as_trace(t, dtype=DEFAULT_DTYPE if dtype is None else dtype)
-            for t in traces]
+    arrs = [as_trace(t, dtype=dtype) for t in traces]
     prevs = [preprocess_prev(a, engine_backend=engine_backend)
              for a in arrs]
     distances = iaf_distances_batch(arrs, dtype=dtype, stats=stats,

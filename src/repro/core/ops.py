@@ -264,7 +264,8 @@ def prepost_sequence_arrays(
     """Vectorized :func:`prepost_sequence`: ``(kind, t, r)`` arrays.
 
     ``kind`` holds the :data:`PREFIX`/:data:`POSTFIX` codes as uint8;
-    ``t`` and ``r`` use ``dtype`` (the Section 9.5 width knob).  First
+    ``t`` and ``r`` use ``dtype``, the width of the ops' positions and
+    counters, whatever the width of the addresses.  First
     occurrences compile to a single ``Prefix(i-1, 0)`` (see
     :func:`prepost_sequence`), so the result has ``n + #re-accesses``
     operations.
@@ -274,7 +275,7 @@ def prepost_sequence_arrays(
     again; without one, :func:`prev_next_arrays` sorts ``trace`` here.
     """
     if prev is None:
-        prev0, _ = prev_next_arrays(as_trace(trace, dtype=dtype))
+        prev0, _ = prev_next_arrays(as_trace(trace))
     else:
         prev0 = np.asarray(prev)
         if prev0.size != np.size(trace):

@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
+from .._typing import TraceLike, as_trace, validate_dtype
 from ..errors import CapacityError
 from .chunked import ChunkedIAF, add_curves
 from .hitrate import HitRateCurve
@@ -42,7 +42,7 @@ class OnlineCurveAnalyzer:
         max_cache_size: int,
         *,
         chunk_multiplier: int = 4,
-        dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+        dtype: Optional["np.typing.DTypeLike"] = None,
         engine_backend: Optional[str] = None,
     ) -> None:
         if max_cache_size < 1:
@@ -59,7 +59,7 @@ class OnlineCurveAnalyzer:
         self._engine = ChunkedIAF(
             self._chunk_multiplier * self._k,
             max_cache_size=self._k,
-            dtype=self._dtype,
+            dtype=dtype,
             engine_backend=engine_backend,
             span_name="streaming.chunk",
         )
@@ -169,7 +169,7 @@ def analyze_stream(
     max_cache_size: int,
     *,
     chunk_multiplier: int = 4,
-    dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+    dtype: Optional["np.typing.DTypeLike"] = None,
     engine_backend: Optional[str] = None,
 ) -> Tuple[HitRateCurve, List[HitRateCurve]]:
     """One-shot helper: run the analyzer over an iterable of batches.

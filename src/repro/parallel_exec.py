@@ -685,58 +685,39 @@ class ProcessExecutor:
                 pass
         arena.close(unlink=True)
 
-    @staticmethod
-    def _certify_int32(part: Any, base: int, span: int) -> bool:
-        """True when ``t`` and ``r`` can ship as int32 bit-identically.
-
-        The rule ``batch_segments`` narrows a batch by
-        (:func:`~repro.core.engine.certify_int32`), over the part's
-        rebased positions: its ``t`` values and its cells ``[0, span)``.
-        Narrow parts halve the descriptor payload and the rebasing copy.
-        """
-        from .core.engine import certify_int32
-
-        if np.dtype(part.t.dtype) != np.dtype(np.int64):
-            return False
-        tmin = int(part.t.min()) - base if part.t.size else 0
-        tmax = int(part.t.max()) - base if part.t.size else 0
-        return certify_int32(min(tmin, 0), max(tmax, span - 1), part.r,
-                             part.w)
-
     def _try_publish(self, part: Any) -> Optional[_Job]:
         arena = self._arena
         blocks: List[_Block] = []
 
         def put(arr: np.ndarray, rebase: int = 0,
-                cast: Optional[np.dtype] = None,
                 ) -> Optional[Tuple[int, int, str, int]]:
             src = np.ascontiguousarray(arr)
-            dt = src.dtype if cast is None else cast
-            block = arena.alloc(src.size * dt.itemsize)
+            block = arena.alloc(src.nbytes)
             if block is None:
                 return None
             blocks.append(block)
-            view = arena.view(block, dt, src.size)
+            view = arena.view(block, src.dtype, src.size)
             if rebase:
                 np.subtract(src, src.dtype.type(rebase), out=view)
             else:
                 view[:] = src
-            return arena.describe(block, dt, src.size)
+            return arena.describe(block, src.dtype, src.size)
 
+        # Parts ship at the width of the solve they were cut from: its
+        # root was certified (or pinned) once, and the worker's
+        # Workspace.prime certifies the accumulator by the same rule.
         base = int(part.lo.min())
         span = int(part.hi.max()) - base + 1
-        narrow = (np.dtype(np.int32)
-                  if self._certify_int32(part, base, span) else None)
         payload: Dict[str, Any] = {}
-        for key, arr, rebase, cast in (
-            ("kind", part.kind, 0, None),
-            ("t", part.t, base, narrow),
-            ("r", part.r, 0, narrow),
-            ("starts", part.starts, 0, None),
-            ("lo", part.lo, base, None),
-            ("hi", part.hi, base, None),
+        for key, arr, rebase in (
+            ("kind", part.kind, 0),
+            ("t", part.t, base),
+            ("r", part.r, 0),
+            ("starts", part.starts, 0),
+            ("lo", part.lo, base),
+            ("hi", part.hi, base),
         ):
-            desc = put(arr, rebase, cast)
+            desc = put(arr, rebase)
             if desc is None:
                 for blk in blocks:
                     arena.free(blk)

@@ -3,7 +3,10 @@
 One :func:`run_case` call pushes a single :class:`~repro.qa.strategies.FuzzCase`
 through every registered implementation and demands **exact** agreement:
 
-* backward distance vectors — vectorized engine (the hub), pure-python
+* backward distance vectors — vectorized engine at the case's pinned
+  dtype (the hub), the same engine at its automatic width
+  (``iaf-auto-width``: int64 addresses, int32 ops and accumulator where
+  :func:`~repro.core.engine.certify_int32` passes), pure-python
   reference recursion, O(n²) definitional oracle, thread-pool and
   process-pool parallel variants;
 * hit-rate curves — engine pipeline (the hub), the chunked incremental
@@ -173,6 +176,7 @@ def run_case_detailed(case: FuzzCase) -> OracleReport:
                 Divergence(hub_name, name, "distances", idx, va, vb)
             )
 
+    check_distances("iaf-auto-width", lambda: iaf_distances(trace))
     check_distances(
         "iaf-naive-backend",
         lambda: iaf_distances(

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, as_trace
+from .._typing import TraceLike, as_trace
 from ..core.api import _truncate, solve, solve_batch
 from ..core.config import SolveConfig, SolveResult
 from ..errors import (
@@ -174,9 +174,7 @@ class CurveService:
         producer nothing but the validation.
         """
         cfg = config if config is not None else SolveConfig()
-        arr = as_trace(
-            trace, dtype=DEFAULT_DTYPE if cfg.dtype is None else cfg.dtype
-        )
+        arr = as_trace(trace, dtype=cfg.dtype)
         return self._admit(arr, cfg, deadline, label)
 
     def submit_work(
@@ -484,10 +482,9 @@ class CurveService:
             with span:
                 results = solve_batch(arrs, base)
         except CapacityError:
-            # The coalesced solve certified a narrow dtype that then
-            # overflowed (or a request forced one).  Retry each request
-            # alone: single solves default to int64 heads, the smallest
-            # shard that cannot overflow.
+            # Only a pinned narrow dtype can overflow (a certified width
+            # cannot): the batch's cells or a merged head outgrew what
+            # its members need alone.  Retry each request alone.
             with self._lock:
                 self.counters.add("service.capacity_retries")
             for req in reqs:

@@ -106,9 +106,6 @@ _SYNC_OPS = frozenset(("register", "evict", "tenants"))
 #: inline-JSON line, but no line may pin more memory than this.
 MAX_LINE_LEN = 1 << 30
 
-#: Frame dtype code → the dtype scalar ``SolveConfig`` speaks.
-_CONFIG_DTYPE = {frames.DTYPE_INT32: np.int32, frames.DTYPE_INT64: np.int64}
-
 
 def parse_request_obj(
     obj: Dict[str, Any],
@@ -367,9 +364,8 @@ class LocalBackend:
             require_trace=payload is None,
         )
         if payload is not None:
-            if "dtype" not in obj:
-                # Solve in the payload's own dtype: no widening copy.
-                cfg = cfg.replace(dtype=_CONFIG_DTYPE[dtype_code])
+            # The payload's dtype is its wire encoding, not a width pin:
+            # only a request's own "dtype" field pins one.
             trace = payload
         elif isinstance(trace, str):
             trace = read_trace(trace)

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._typing import DEFAULT_DTYPE, TraceLike, as_trace, validate_dtype
+from .._typing import TraceLike, as_trace, validate_dtype
 from ..core.chunked import ChunkedIAF
 from ..core.hitrate import HitRateCurve
 from ..core.sampling import ApproximateCurve, rescale_curve, sample_mask
@@ -113,7 +113,7 @@ class Tenant:
         max_cache_size: Optional[int],
         chunk_size: Optional[int],
         memory_budget: Optional[int],
-        dtype: "np.typing.DTypeLike",
+        dtype: Optional["np.typing.DTypeLike"],
     ) -> None:
         self.tenant_id = tenant_id
         self.registered_tier = tier
@@ -123,7 +123,10 @@ class Tenant:
         self.max_cache_size = max_cache_size
         self.chunk_size = chunk_size
         self.memory_budget = memory_budget
+        #: Address width pushes are read in; ``None`` means int64
+        #: addresses with every chunk solve's width certified.
         self.dtype = validate_dtype(dtype)
+        self._solve_dtype = None if dtype is None else self.dtype
         self.total_accesses = 0  # every access ever pushed
         self.segment_accesses = 0  # real accesses in the live segment
         self.segment_sampled = 0  # accesses the live engine ingested
@@ -139,7 +142,7 @@ class Tenant:
         return ChunkedIAF(
             self.chunk_size,
             max_cache_size=self.max_cache_size,
-            dtype=self.dtype,
+            dtype=self._solve_dtype,
         )
 
     @property
@@ -320,14 +323,16 @@ class TenantRegistry:
         max_cache_size: Optional[int] = None,
         chunk_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        dtype: "np.typing.DTypeLike" = DEFAULT_DTYPE,
+        dtype: Optional["np.typing.DTypeLike"] = None,
     ) -> Tenant:
         """Create a tenant; its curve is queryable from this point on.
 
         ``tier="sampled"`` pins the tenant to the sampled tier — it is
         never auto-promoted (though :meth:`promote` still works).
         ``memory_budget`` caps this tenant's own state; the registry
-        budget caps the sum across tenants.
+        budget caps the sum across tenants.  ``dtype`` is
+        :class:`~repro.core.chunked.ChunkedIAF`'s: ``None`` keeps int64
+        addresses and certifies each chunk solve's width.
         """
         if tier not in _TIERS:
             raise ReproError(f"tier must be one of {_TIERS}, got {tier!r}")

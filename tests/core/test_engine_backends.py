@@ -253,8 +253,9 @@ class TestThreadWorkspace:
         assert after == warm
 
     def test_int32_batch_and_int64_chunk_keep_their_buffers(self):
-        """An int32-certified batch and an int64 chunk solve alternating
-        on one thread stop reallocating each other's buffers."""
+        """An int32-certified batch and an explicit int64 chunk solve
+        alternating on one thread stop reallocating each other's
+        buffers."""
         rng = np.random.default_rng(14)
         batch = [rng.integers(0, 400, size=3000) for _ in range(4)]
         assert batch_segments(batch)[1].r.dtype == np.int32
@@ -266,7 +267,8 @@ class TestThreadWorkspace:
             for _round in range(2):
                 before = len(ws.grow_events)
                 iaf_distances_batch(batch)
-                ChunkedIAF(chunk.size).push(chunk)  # one int64 solve
+                # One int64 solve: a default chunk would certify int32.
+                ChunkedIAF(chunk.size, dtype=np.int64).push(chunk)
                 grown.append(len(ws.grow_events) - before)
             return grown
 
@@ -444,6 +446,73 @@ class TestBatchSolving:
         )
         ws.prime(huge)
         assert ws.acc_dtype == np.int64
+
+    def test_prime_narrows_root_ops_with_reaccesses(self):
+        """Root ops carry r = -1 on every re-access, and the width rule
+        still certifies their int32 accumulator (the old ``r >= 0``
+        test never did)."""
+        from repro.workloads.synthetic import zipfian_trace
+
+        traces = [zipfian_trace(2048, 400, 0.8, seed=s) for s in range(32)]
+        _arrs, seg, _bases, _total = batch_segments(traces)
+        assert seg.r.dtype == np.int32 and int(seg.r.min()) == -1
+        ws = Workspace()
+        ws.prime(seg)
+        assert ws.acc_dtype == np.int32
+
+        def solve():
+            got = iaf_distances_batch(traces)
+            return got, thread_workspace().acc_dtype
+
+        got, acc = _on_fresh_thread(solve)
+        assert acc == np.int32
+        for t, d in zip(traces, got):
+            assert np.array_equal(d, iaf_distances(t, dtype=np.int64,
+                                                   engine_backend="naive"))
+
+    def test_wrapping_running_sum_stays_exact(self, monkeypatch):
+        """A leading full-interval Prefix(n, 2**29) repeats its effect in
+        every segment, so a level chunk's running sum ``c0`` passes
+        int32 by orders of magnitude; only in-segment differences are
+        read, so the int32 solve still equals naive int64 bit for bit.
+        """
+        from repro.core import engine
+        from repro.core.ops import PREFIX
+
+        trace = np.random.default_rng(22).integers(0, 300, size=4096)
+        n = trace.size
+
+        def ops(dt):
+            kind, t, r = prepost_sequence_arrays(trace, dtype=dt)
+            return (np.concatenate([[PREFIX], kind]).astype(np.uint8),
+                    np.concatenate([[n], t]).astype(dt),
+                    np.concatenate([[2**29], r]).astype(dt))
+
+        true_c0 = []
+        real_plan = engine._fused_plan_child
+
+        def plan_spy(tag, kept, eff, *args):
+            if eff.size:
+                true_c0.append(int(np.abs(np.cumsum(eff, dtype=np.int64))
+                                   .max()))
+            return real_plan(tag, kept, eff, *args)
+
+        monkeypatch.setattr(engine, "_fused_plan_child", plan_spy)
+
+        def fused():
+            values = np.zeros(n + 1, dtype=np.int64)
+            solve_prepost_arrays(Segments.single(*ops(np.int32), 0, n),
+                                 values, engine_backend="fused")
+            return values, thread_workspace().acc_dtype
+
+        got, acc = _on_fresh_thread(fused)
+        want = np.zeros(n + 1, dtype=np.int64)
+        solve_prepost_arrays(Segments.single(*ops(np.int64), 0, n), want,
+                             engine_backend="naive")
+        assert acc == np.int32
+        assert max(true_c0) > 100 * np.iinfo(np.int32).max
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[1:] - (2**29 + 1), iaf_distances(trace))
 
     def test_batch_int32_capacity_error(self):
         """Rebasing past the dtype max must fail loudly, not wrap."""

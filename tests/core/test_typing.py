@@ -22,6 +22,12 @@ class TestValidateDtype:
     def test_default_is_supported(self):
         assert DEFAULT_DTYPE in SUPPORTED_DTYPES
 
+    def test_none_is_the_default_address_width(self):
+        """An unpinned width reads addresses at the default dtype."""
+        assert validate_dtype(None) == DEFAULT_DTYPE
+        assert as_trace(np.array([3, 1], dtype=np.int32),
+                        dtype=None).dtype == DEFAULT_DTYPE
+
     @pytest.mark.parametrize("bad", [np.int8, np.int16, np.uint32,
                                      np.float64, bool])
     def test_rejects_unsupported(self, bad):

@@ -340,13 +340,16 @@ class TestServiceIntegration:
                               iaf_hit_rate_curve(trace).hits_cumulative)
 
 
-def _make_part(seed: int, n: int = 2000, universe: int = 100):
-    """A root-level Segments part, the shape ``solve_parts`` receives."""
-    from repro.core.engine import Segments
-    from repro.core.ops import prepost_sequence_arrays
+def _make_part(seed: int, n: int = 2000, universe: int = 100,
+               dtype=np.int64):
+    """A root-level Segments part, the shape ``solve_parts`` receives,
+    at a pinned ``dtype`` or (``None``) at the certified width."""
+    from repro.core.engine import Segments, _root_ops
+    from repro.core.prevnext import prev_next_arrays
 
     trace = np.random.default_rng(seed).integers(0, universe, size=n)
-    kind, t, r = prepost_sequence_arrays(trace, dtype=np.int64)
+    prev = prev_next_arrays(trace)[0]
+    kind, t, r = _root_ops(trace, prev, dtype)
     return trace, Segments.single(kind, t, r, 0, trace.size)
 
 
@@ -415,15 +418,17 @@ class TestConcurrentDispatch:
 
 
 class TestInt32Publish:
-    """Certified-exact parts ship int32 ``t``/``r`` (ISSUE 6 satellite 2).
+    """Parts ship at the width of the solve they were cut from.
 
-    ``_try_publish`` used to copy the op arrays into the arena in their
-    native int64 even when the rebased span and the merge-effect bound
-    certified int32 exact — twice the descriptor payload for nothing.
+    An unpinned solve certifies its root ops int32 once
+    (:func:`~repro.core.engine.certify_int32`), so its parts ship int32
+    ``t``/``r``, half an int64 payload; a solve pinned to int64 keeps
+    int64 parts all the way into the workers.
     """
 
     def test_small_part_ships_int32_and_halves_payload(self, executor):
-        _, seg = _make_part(7)
+        _, seg = _make_part(7, dtype=None)
+        assert seg.r.dtype == np.int32
         with executor._alloc_lock:
             job = executor._try_publish(seg)
         assert job is not None
@@ -432,8 +437,7 @@ class TestInt32Publish:
                 off, gen, dtype_str, count = job.payload[key]
                 assert np.dtype(dtype_str) == np.dtype(np.int32), key
                 shipped = count * np.dtype(dtype_str).itemsize
-                native = getattr(seg, key).nbytes
-                assert shipped * 2 == native, key
+                assert shipped * 2 == count * 8, key
             # Bookkeeping arrays and the output stay int64.
             for key in ("starts", "lo", "hi", "out"):
                 assert np.dtype(job.payload[key][2]) == np.dtype(np.int64)
@@ -446,7 +450,7 @@ class TestInt32Publish:
 
         _, seg = _make_part(8)
         r = seg.r.copy()
-        r[0] = -5  # below the r >= -1 invariant the bound relies on
+        r[0] = 2**31  # no int32 holds it: the part must not narrow
         seg = Segments(kind=seg.kind, t=seg.t, r=r, starts=seg.starts,
                        lo=seg.lo, hi=seg.hi, w=seg.w)
         with executor._alloc_lock:

@@ -91,6 +91,18 @@ def test_new_rows_reachable():
     assert {"tenant-exact", "sampled-iaf"} <= impls
 
 
+@pytest.mark.parametrize("seed", [4, 51], ids=["int64", "int32"])
+def test_auto_width_row_on_near_dtype_limit_addresses(seed):
+    """``iaf-auto-width`` (no dtype: int64 addresses, certified int32
+    ops) joins the matrix and agrees with the pinned hub, on addresses
+    hugging either dtype's max."""
+    case = case_from_seed(seed, profile="quick")
+    assert case.strategy == "near_dtype_limit" and case.trace.size
+    report = run_case_detailed(case)
+    assert "iaf~iaf-auto-width:distances" in report.comparisons
+    assert not report.divergences, report.divergences
+
+
 def test_sampled_rates_reachable():
     """Every FuzzConfig sample rate (incl. the degenerate 1.0) occurs."""
     seen = set()
