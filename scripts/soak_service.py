@@ -3,14 +3,15 @@
 CI's ``service-soak`` job runs this as a gate on the PR-4 service layer:
 several client threads submit a random mix of trace sizes and
 ``SolveConfig`` shapes (plain iaf, parallel-iaf, narrow dtype,
-truncation, one oversize trace that crosses the shard threshold) against
-a single shared :class:`~repro.service.CurveService` for a wall-clock
-budget, then the script asserts
+truncation, one oversize trace that the size rule runs on the chunked
+engine) against a single shared :class:`~repro.service.CurveService`
+for a wall-clock budget, then the script asserts
 
 * **zero errors** — every accepted request completes and its curve is
-  bit-identical to a precomputed direct ``iaf_hit_rate_curve`` solve;
-  ``ServiceOverloadedError`` rejections are *expected* backpressure and
-  are counted, not failed;
+  bit-identical to a precomputed direct ``iaf_hit_rate_curve`` solve,
+  and the oversize trace's result carries no ``distances`` (it ran
+  chunked); ``ServiceOverloadedError`` rejections are *expected*
+  backpressure and are counted, not failed;
 * **bounded memory** — RSS (``/proc/self/status`` VmRSS) must
   *plateau*: the high-water mark over the first third of the run (the
   burn-in, where arenas and workspaces reach steady state under full
@@ -66,11 +67,16 @@ if os.environ.get("MALLOC_ARENA_MAX") is None:
 import numpy as np
 
 from repro import SolveConfig
+from repro.core import api
 from repro.core.engine import iaf_hit_rate_curve
 from repro.errors import ServiceOverloadedError
 from repro.service import CurveService
 
-SHARD_THRESHOLD = 200_000  # low enough that the big trace shards
+#: ``solve()``'s size rule from this many accesses instead of 1 Mi, so
+#: the corpus's one oversize trace runs on the chunked engine without a
+#: million-access trace in the soak.
+CHUNKED_THRESHOLD = 200_000
+api.CHUNKED_THRESHOLD = CHUNKED_THRESHOLD
 
 
 def rss_kib() -> int:
@@ -83,7 +89,7 @@ def rss_kib() -> int:
 
 
 def build_corpus(seed: int) -> List[np.ndarray]:
-    """Mixed-size traces: many small, some medium, one shard-worthy."""
+    """Mixed-size traces: many small, some medium, one oversize."""
     rng = np.random.default_rng(seed)
     corpus = [
         rng.integers(0, 64, size=int(n))
@@ -93,7 +99,7 @@ def build_corpus(seed: int) -> List[np.ndarray]:
         rng.integers(0, 5_000, size=int(n))
         for n in rng.integers(20_000, 60_000, size=3)
     ]
-    corpus.append(rng.integers(0, 20_000, size=SHARD_THRESHOLD + 50_000))
+    corpus.append(rng.integers(0, 20_000, size=CHUNKED_THRESHOLD + 50_000))
     return corpus
 
 
@@ -129,9 +135,9 @@ def client_loop(
         idx = rng.randrange(len(corpus))
         trace = corpus[idx]
         # The oversize trace always goes through the default config so it
-        # exercises the shard path; small traces draw from the full menu.
-        cfg = (SolveConfig() if trace.size >= SHARD_THRESHOLD
-               else rng.choice(configs))
+        # exercises the chunked path; small traces draw from the full menu.
+        oversize = trace.size >= CHUNKED_THRESHOLD
+        cfg = SolveConfig() if oversize else rng.choice(configs)
         try:
             future = service.submit(trace, cfg, deadline=120.0)
         except ServiceOverloadedError:
@@ -152,8 +158,14 @@ def client_loop(
                     f"curve mismatch: trace#{idx} n={trace.size} cfg={cfg}"
                 )
             return
+        if oversize and result.distances is not None:
+            with lock:
+                errors.append(f"trace#{idx} n={trace.size} did not run "
+                              f"on the chunked engine")
+            return
         with lock:
             out["completed"] += 1
+            out["chunked"] += int(oversize)
 
 
 # -- multi-tenant soak -------------------------------------------------
@@ -479,15 +491,14 @@ def run_soak(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_queue=args.max_queue,
         max_batch=16,
-        shard_threshold=SHARD_THRESHOLD,
     )
-    counts = {"completed": 0, "rejected": 0}
+    counts = {"completed": 0, "rejected": 0, "chunked": 0}
     errors: List[str] = []
     lock = threading.Lock()
 
     # Prime each config path once so first-touch allocation (imports,
     # per-worker workspaces) is out of the way before the clock starts.
-    small = [t for t in corpus if t.size < SHARD_THRESHOLD]
+    small = [t for t in corpus if t.size < CHUNKED_THRESHOLD]
     for cfg in config_menu():  # wave per config; chunked to fit the queue
         for at in range(0, len(small), args.max_queue):
             warm = [service.submit(t, cfg, deadline=120.0)
@@ -534,7 +545,7 @@ def run_soak(args: argparse.Namespace) -> int:
     print(f"completed {counts['completed']}  "
           f"rejected(backpressure) {counts['rejected']}  "
           f"batches {metrics.get('service.batches', 0)}  "
-          f"sharded {metrics.get('service.sharded', 0)}  "
+          f"chunked {counts['chunked']}  "
           f"p50 {metrics.get('service.latency_p50', 0.0) * 1e3:.1f}ms  "
           f"p99 {metrics.get('service.latency_p99', 0.0) * 1e3:.1f}ms",
           flush=True)

@@ -74,7 +74,7 @@ from .core import (
 from .errors import ReproError
 from .obs import Counters, Tracer, get_tracer, tracing
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -163,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="most requests one dispatch tick coalesces")
     srv.add_argument("--workers", type=int, default=2,
                      help="solver threads")
-    srv.add_argument("--shard-threshold", type=int, default=1 << 20,
-                     help="iaf traces at least this long run alone on "
-                          "the bounded-memory chunked engine instead of "
-                          "batched")
     srv.add_argument("--default-deadline", type=float, default=None,
                      help="seconds granted to requests that set none")
     srv.add_argument("--metrics", action="store_true",
@@ -505,7 +501,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_batch=args.max_batch,
         workers=args.workers,
-        shard_threshold=args.shard_threshold,
         default_deadline=args.default_deadline,
     )
     tenants = None
@@ -554,8 +549,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     from .cluster import spawn_ring
 
     extra: list = ["--max-queue", str(args.max_queue),
-                   "--max-batch", str(args.max_batch),
-                   "--shard-threshold", str(args.shard_threshold)]
+                   "--max-batch", str(args.max_batch)]
     if args.default_deadline is not None:
         extra += ["--default-deadline", str(args.default_deadline)]
     if args.tenant_budget_mb is not None:

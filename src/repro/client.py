@@ -153,14 +153,9 @@ class CurveClient:
               payload: Optional[np.ndarray] = None) -> None:
         """One request out, on whichever protocol this connection speaks."""
         if self._binary:
-            dtype_code = frames.DTYPE_NONE
-            raw: bytes = b""
-            if payload is not None:
-                name = payload.dtype.name
-                dtype_code = frames.CODE_BY_NAME[name]
-                raw = payload.tobytes()
+            raw = b"" if payload is None else payload.tobytes()
             frames.write_frame(self._wfile, frames.FRAME_REQUEST, header,
-                               raw, dtype_code)
+                               raw, frames.payload_code(payload))
             return
         if payload is not None:
             header = dict(header)

@@ -83,12 +83,13 @@ class _ShardClient(CurveClient):
             )
         self._sock.settimeout(None)
 
-    def forward(self, header: Dict[str, Any], payload: Any,
-                dtype_code: int) -> Dict[str, Any]:
+    def forward(self, header: Dict[str, Any],
+                payload: Optional[np.ndarray]) -> Dict[str, Any]:
         """Send one request frame as received; returns the reply."""
         frames.write_frame(
             self._wfile, frames.FRAME_REQUEST, header,
-            b"" if payload is None else payload, dtype_code,
+            b"" if payload is None else payload,
+            frames.payload_code(payload),
         )
         return self._recv()
 
@@ -183,17 +184,15 @@ class ClusterFrontend:
             server="ring", shards=len(self._shards),
         )
 
-    def submit(self, header: Dict[str, Any], payload: Optional[np.ndarray],
-               dtype_code: int) -> Any:
+    def submit(self, header: Dict[str, Any],
+               payload: Optional[np.ndarray]) -> Any:
         if header.get("op") == "tenants":
             return self._list_tenants(header)
         if "op" in header:
             # On the connection's thread: the shard then receives this
             # stream's tenant verbs in the stream's order.
-            return self._route(header, payload, dtype_code)
-        future = self._forwarders.submit(
-            self._route, header, payload, dtype_code
-        )
+            return self._route(header, payload)
+        future = self._forwarders.submit(self._route, header, payload)
         return future, _as_is
 
     def record_protocol_error(self) -> None:
@@ -216,12 +215,12 @@ class ClusterFrontend:
 
     def _forward_once(
         self, shard: str, header: Dict[str, Any],
-        payload: Optional[np.ndarray], dtype_code: int,
+        payload: Optional[np.ndarray],
     ) -> Dict[str, Any]:
         pool = self._pools[shard]
         client = pool.acquire()
         try:
-            reply = client.forward(header, payload, dtype_code)
+            reply = client.forward(header, payload)
         except BaseException:
             client.close()
             raise
@@ -240,7 +239,7 @@ class ClusterFrontend:
         if reg is None:
             return
         try:
-            self._forward_once(shard, reg, None, frames.DTYPE_NONE)
+            self._forward_once(shard, reg, None)
             self._count("ring.register_replays")
         except (OSError, ProtocolError):
             # The forward itself will hit the same wall and re-route.
@@ -258,7 +257,6 @@ class ClusterFrontend:
 
     def _route(
         self, header: Dict[str, Any], payload: Optional[np.ndarray],
-        dtype_code: int,
     ) -> Dict[str, Any]:
         """Forward with ring fail-over; degrade when nothing is live.
 
@@ -276,9 +274,7 @@ class ClusterFrontend:
                     self._placed.get(tenant) != shard:
                 self._replay_register(tenant, shard)
             try:
-                response = self._forward_once(
-                    shard, header, payload, dtype_code
-                )
+                response = self._forward_once(shard, header, payload)
             except (OSError, ProtocolError):
                 self._shard_failed(shard)
                 continue
@@ -302,9 +298,7 @@ class ClusterFrontend:
         reply: Optional[Dict[str, Any]] = None
         for shard in self._ring.live_nodes:
             try:
-                response = self._forward_once(
-                    shard, header, None, frames.DTYPE_NONE
-                )
+                response = self._forward_once(shard, header, None)
             except (OSError, ProtocolError):
                 self._shard_failed(shard)
                 continue

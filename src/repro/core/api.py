@@ -35,9 +35,12 @@ is a frozen :class:`~repro.core.config.SolveConfig`::
     result = solve(trace, cfg)          # SolveResult: curve+stats+timing
 
 :func:`solve` / :func:`solve_batch` are the single execution path the
-CLI and the :mod:`repro.service` serving layer share.  The keyword
-style of 1.x (``hit_rate_curve(trace, algorithm=..., workers=...)``) was
-removed in 2.0: such calls raise :class:`TypeError`.
+CLI and the :mod:`repro.service` serving layer share.  They also own
+the one size rule: an ``iaf`` solve of at least
+:data:`CHUNKED_THRESHOLD` accesses runs on the chunked engine
+(:func:`runs_chunked`).  The keyword style of 1.x
+(``hit_rate_curve(trace, algorithm=..., workers=...)``) was removed in
+2.0: such calls raise :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .._typing import TraceLike, as_trace
 from ..errors import ReproError
 from ..extmem.blockdevice import MemoryConfig
 from .bounded import bounded_iaf
+from .chunked import chunked_iaf
 from .config import ALGORITHMS, ENGINE_ALGORITHMS, SolveConfig, SolveResult
 from .engine import (
     EngineStats,
@@ -60,7 +64,7 @@ from .engine import (
     preprocess_prev,
 )
 from .external import external_iaf_distances
-from .hitrate import HitRateCurve
+from .hitrate import HitRateCurve, forward_from_backward
 from .prevnext import prev_next_arrays
 from .reference import reference_distances
 
@@ -76,6 +80,21 @@ _ONE_SORT_ALGORITHMS = ("iaf", "parallel-iaf", "process-iaf",
 #: Algorithms that are one ``iaf_distances`` solve, told apart only by
 #: where the level loop's split parts run (see :func:`_parallelism`).
 _LEVEL_LOOP_ALGORITHMS = ("iaf", "parallel-iaf", "process-iaf")
+
+#: Trace length from which an ``iaf`` solve runs on the chunked engine
+#: (Section 7's living-request carry) at its default chunk: O(u + chunk)
+#: memory instead of O(n), and the same curve bit for bit.
+CHUNKED_THRESHOLD = 1 << 20
+
+
+def runs_chunked(cfg: SolveConfig, n: int) -> bool:
+    """Whether :func:`solve` runs an ``n``-access solve under ``cfg``
+    on the chunked engine: ``iaf`` only, from :data:`CHUNKED_THRESHOLD`.
+
+    The other level-loop algorithms keep the one-shot loop: a caller who
+    asks for threads or processes gets them.
+    """
+    return cfg.algorithm == "iaf" and n >= CHUNKED_THRESHOLD
 
 
 def _parallelism(cfg: SolveConfig) -> Dict[str, Any]:
@@ -106,7 +125,11 @@ def solve(
 
     Returns a :class:`~repro.core.config.SolveResult` carrying the
     curve, the backward distance vector (when the algorithm materializes
-    one), the solve's instrumentation, and wall time.  ``stats`` lets a
+    one), the solve's instrumentation, and wall time.  An ``iaf`` trace
+    of at least :data:`CHUNKED_THRESHOLD` accesses is solved by
+    :func:`~repro.core.chunked.chunked_iaf` at its default chunk
+    (:func:`runs_chunked`): same curve, O(u + chunk) memory, no
+    ``distances``; the result keeps ``config``.  ``stats`` lets a
     caller supply its own :class:`EngineStats` accumulator (the engine
     algorithms allocate one otherwise); the same object ends up at
     ``result.stats`` and ``result.curve.stats``.
@@ -144,6 +167,13 @@ def _solve_dispatch(
     arr = as_trace(trace, dtype=dtype)
     if stats is None and algorithm in ENGINE_ALGORITHMS:
         stats = EngineStats()
+    if algorithm == "chunked-iaf" or runs_chunked(cfg, arr.size):
+        # Only chunked-iaf reads chunk_size; the size rule's iaf solves
+        # run at the default chunk.
+        chunk = cfg.chunk_size if algorithm == "chunked-iaf" else None
+        res = chunked_iaf(arr, chunk, dtype=dtype, stats=stats,
+                          engine_backend=cfg.engine_backend)
+        return res.curve, None, stats
     # The solve's one sort: its prev builds the ops and then picks the
     # distances the curve counts.
     prev = (preprocess_prev(arr, engine_backend=cfg.engine_backend)
@@ -157,12 +187,6 @@ def _solve_dispatch(
         return postprocess_curve(d, prev), d, stats
     if algorithm == "bounded-iaf":
         res = bounded_iaf(arr, cfg.max_cache_size, dtype=dtype, stats=stats,
-                          engine_backend=cfg.engine_backend)
-        return res.curve, None, stats
-    if algorithm == "chunked-iaf":
-        from .chunked import chunked_iaf
-
-        res = chunked_iaf(arr, cfg.chunk_size, dtype=dtype, stats=stats,
                           engine_backend=cfg.engine_backend)
         return res.curve, None, stats
     if algorithm == "external-iaf":
@@ -200,41 +224,44 @@ def solve_batch(
 ) -> List[SolveResult]:
     """Solve many traces under one config; coalesce where the engine can.
 
-    For the engine algorithms (``"iaf"``, ``"parallel-iaf"``) all traces
+    When ``config.batchable`` (``"iaf"``, ``"parallel-iaf"``) the traces
     are seeded into **one** batched level loop — identical curves to a
     per-trace loop, but every vectorized pass is shared across the batch
     (the serving-throughput form; see
-    :func:`repro.core.engine.iaf_hit_rate_curves_batch`).  Other
-    algorithms fall back to a per-trace loop for interface parity.  Each
-    returned :class:`SolveResult` of a coalesced solve shares the batch's
-    ``stats`` and reports the batch's wall time, with ``batched=True``.
+    :func:`repro.core.engine.iaf_hit_rate_curves_batch`).  A member that
+    :func:`runs_chunked` is solved alone, as :func:`solve` solves it.
+    Other algorithms fall back to a per-trace loop for interface parity.
+    Each returned :class:`SolveResult` of a coalesced solve shares the
+    batch's ``stats`` and reports the batch's wall time, with
+    ``batched=True``.
     """
     cfg = config if config is not None else SolveConfig()
-    algorithm = cfg.algorithm
-    if algorithm not in ("iaf", "parallel-iaf"):
+    if not cfg.batchable:
         return [solve(t, cfg) for t in traces]
-    if stats is None:
-        stats = EngineStats()
     t0 = time.perf_counter()
     arrs = [as_trace(t, dtype=cfg.dtype) for t in traces]
-    prevs = [preprocess_prev(a, engine_backend=cfg.engine_backend)
-             for a in arrs]
-    distances = iaf_distances_batch(
-        arrs, dtype=cfg.dtype, stats=stats,
-        engine_backend=cfg.engine_backend, prevs=prevs,
-        **_parallelism(cfg),
-    )
-    results: List[SolveResult] = []
-    wall = time.perf_counter() - t0
-    for d, prev in zip(distances, prevs):
-        curve = postprocess_curve(d, prev).with_stats(stats)
-        if cfg.max_cache_size is not None:
-            curve = _truncate(curve, cfg.max_cache_size)
-        results.append(SolveResult(
-            curve=curve, config=cfg, stats=stats, distances=d,
-            wall_seconds=wall, batched=True,
-        ))
-    return results
+    results: List[Optional[SolveResult]] = [None] * len(arrs)
+    small = [i for i, a in enumerate(arrs) if not runs_chunked(cfg, a.size)]
+    if small:
+        batch_stats = stats if stats is not None else EngineStats()
+        prevs = [preprocess_prev(arrs[i], engine_backend=cfg.engine_backend)
+                 for i in small]
+        distances = iaf_distances_batch(
+            [arrs[i] for i in small], dtype=cfg.dtype, stats=batch_stats,
+            engine_backend=cfg.engine_backend, prevs=prevs,
+            **_parallelism(cfg),
+        )
+        wall = time.perf_counter() - t0
+        for i, d, prev in zip(small, distances, prevs):
+            curve = postprocess_curve(d, prev).with_stats(batch_stats)
+            if cfg.max_cache_size is not None:
+                curve = _truncate(curve, cfg.max_cache_size)
+            results[i] = SolveResult(
+                curve=curve, config=cfg, stats=batch_stats, distances=d,
+                wall_seconds=wall, batched=True,
+            )
+    return [res if res is not None else solve(arr, cfg, stats=stats)
+            for arr, res in zip(arrs, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +311,7 @@ def stack_distances(
         d = iaf_distances(arr, dtype=cfg.dtype,
                           engine_backend=cfg.engine_backend, prev=prev,
                           **_parallelism(cfg))
-    out = np.zeros(arr.size, dtype=np.int64)
-    has_prev = prev != -1
-    out[has_prev] = d[prev[has_prev]]
-    return out
+    return forward_from_backward(d, prev)
 
 
 def hit_rate_curves_batch(

@@ -160,10 +160,12 @@ class SolveResult:
     an :class:`~repro.extmem.iostats.IOStats` for ``external-iaf``,
     ``None`` for the baselines.  ``distances`` is the backward distance
     vector when the algorithm materializes one (``iaf``,
-    ``parallel-iaf``, ``external-iaf``, ``reference``); curve-only
-    algorithms leave it ``None``.  For batched solves, ``wall_seconds``
-    is the whole batch's wall time (the per-request marginal cost is not
-    separable from a coalesced level loop).
+    ``parallel-iaf``, ``process-iaf``, ``external-iaf``,
+    ``reference``); curve-only algorithms leave it ``None``, and so
+    does an ``iaf`` solve that :func:`repro.core.api.runs_chunked`.
+    For batched solves, ``wall_seconds`` is the whole batch's wall time
+    (the per-request marginal cost is not separable from a coalesced
+    level loop).
     """
 
     curve: HitRateCurve

@@ -4,8 +4,8 @@ Many producers submit :class:`~repro.core.config.SolveConfig` requests;
 the service coalesces compatible ones into single batched engine solves
 (amortizing the per-level vectorized passes; each worker thread reuses
 its own engine workspace, :func:`repro.core.engine.thread_workspace`),
-runs oversized ``iaf`` traces alone on the bounded-memory chunked
-engine, and returns futures.
+keeps an ``iaf`` trace that :func:`repro.core.api.solve` runs on the
+bounded-memory chunked engine out of every batch, and returns futures.
 A request picks the process pool for itself with
 ``algorithm="process-iaf"``; the service never chooses it.
 

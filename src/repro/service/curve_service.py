@@ -1,18 +1,20 @@
-"""The in-process solve service: admission control, batching, sharding.
+"""The in-process solve service: admission control and batching.
 
 One dispatcher thread drains the bounded admission queue in ticks.  Each
 tick's requests are *planned*: expired ones fail fast with
 :class:`~repro.errors.DeadlineExceededError`, cancelled ones are
-dropped, oversized ``iaf`` ones are rewritten to a bounded-memory
-``chunked-iaf`` solve, and the remaining batchable requests are grouped by
+dropped, an ``iaf`` one that :func:`repro.core.api.runs_chunked` runs
+as its own unit (``solve()`` puts it on the bounded-memory chunked
+engine), and the remaining batchable requests are grouped by
 :meth:`~repro.core.config.SolveConfig.batch_key` so each group rides
 **one** coalesced level loop (see
-:func:`repro.core.api.solve_batch`).  Work units run on a small thread
-pool; a semaphore bounds the units in flight, so when the pool falls
-behind, the queue fills and :meth:`CurveService.submit` starts rejecting
-— backpressure reaches producers as
-:class:`~repro.errors.ServiceOverloadedError`, never as unbounded
-memory.
+:func:`repro.core.api.solve_batch`).  No request's config is rewritten:
+each is answered as ``solve(trace, config)`` would answer it.  Work
+units run on a small thread pool; a semaphore bounds the units in
+flight, so when the pool falls behind, the queue fills and
+:meth:`CurveService.submit` starts rejecting — backpressure reaches
+producers as :class:`~repro.errors.ServiceOverloadedError`, never as
+unbounded memory.
 
 Each pool thread solves in its own engine workspace
 (:func:`repro.core.engine.thread_workspace`), so consecutive solves on
@@ -33,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .._typing import TraceLike, as_trace
-from ..core.api import _truncate, solve, solve_batch
+from ..core.api import _truncate, runs_chunked, solve, solve_batch
 from ..core.config import SolveConfig, SolveResult
 from ..errors import (
     CapacityError,
@@ -43,9 +45,13 @@ from ..errors import (
 )
 from ..obs import NULL_SPAN, Counters, get_tracer
 
-#: Default trace length from which an ``iaf`` request leaves the batch
-#: path and runs alone on the bounded-memory chunked engine.
-DEFAULT_SHARD_THRESHOLD = 1 << 20
+#: Longest wait of one dispatch tick for a first request, in seconds:
+#: requests that arrive within it of each other can share a solve.
+TICK_SECONDS = 0.02
+
+#: Completed requests whose submit-to-answer latency feeds the
+#: ``service.latency_p50`` / ``service.latency_p99`` percentiles.
+LATENCY_WINDOW = 1024
 
 
 class SolveFuture(Future):
@@ -97,11 +103,11 @@ class CurveService:
     :meth:`submit` raises :class:`ServiceOverloadedError`); ``max_batch``
     bounds how many requests one dispatch tick plans together, which is
     also the largest possible coalesced batch.  ``default_deadline`` (in
-    seconds) applies to requests submitted without one.  ``iaf``
-    traces of at least ``shard_threshold`` accesses leave the batch
-    path and run as bounded-memory ``chunked-iaf`` solves at the
-    engine's default chunk (working set O(u + chunk), never O(n)).  A
-    request picks processes for itself with ``algorithm="process-iaf"``.
+    seconds) applies to requests submitted without one.  An ``iaf``
+    trace that :func:`~repro.core.api.runs_chunked` stays out of every
+    batch, so one giant trace cannot hold up a tick of small ones;
+    ``solve()`` runs it on the chunked engine.  A request picks
+    processes for itself with ``algorithm="process-iaf"``.
     """
 
     def __init__(
@@ -110,10 +116,7 @@ class CurveService:
         max_queue: int = 256,
         max_batch: int = 32,
         workers: int = 2,
-        shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
         default_deadline: Optional[float] = None,
-        tick_seconds: float = 0.02,
-        latency_window: int = 1024,
     ) -> None:
         if max_queue < 1:
             raise CapacityError(f"max_queue must be >= 1, got {max_queue}")
@@ -123,9 +126,7 @@ class CurveService:
             raise CapacityError(f"workers must be >= 1, got {workers}")
         self._max_queue = max_queue
         self._max_batch = max_batch
-        self._shard_threshold = shard_threshold
         self._default_deadline = default_deadline
-        self._tick = tick_seconds
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=max_queue)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-curve"
@@ -146,7 +147,7 @@ class CurveService:
         self._paused = False
         self._dequeuing = False
         self._lock = threading.Lock()
-        self._latencies: "deque[float]" = deque(maxlen=latency_window)
+        self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self.counters = Counters()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-curve-dispatch",
@@ -349,7 +350,7 @@ class CurveService:
                 self._gate.wait_for(lambda: not self._paused)
                 self._dequeuing = True
             try:
-                batch.append(self._queue.get(timeout=self._tick))
+                batch.append(self._queue.get(timeout=TICK_SECONDS))
             except queue.Empty:
                 pass
             else:
@@ -385,29 +386,25 @@ class CurveService:
                 continue
             runnable.append(req)
         groups: Dict[Tuple, List[_Request]] = {}
-        singles: List[Tuple[_Request, bool]] = []
+        singles: List[_Request] = []
         for req in runnable:
             if req.work is not None:
                 self._submit_unit(self._run_work, req)
-            elif (
-                req.arr.size >= self._shard_threshold
-                and req.config.algorithm == "iaf"
-            ):
-                singles.append((req, True))
-            elif req.config.batchable:
+            elif req.config.batchable and \
+                    not runs_chunked(req.config, req.arr.size):
                 groups.setdefault(req.config.batch_key(), []).append(req)
             else:
-                singles.append((req, False))
+                singles.append(req)
         for group in groups.values():
             if len(group) == 1:
-                singles.append((group[0], False))
+                singles.append(group[0])
             else:
                 self._submit_unit(self._run_batch, group)
-        for req, shard in singles:
-            self._submit_unit(self._run_single, req, shard)
+        for req in singles:
+            self._submit_unit(self._run_single, req)
 
     def _submit_unit(self, fn, *args) -> None:
-        while not self._slots.acquire(timeout=self._tick):
+        while not self._slots.acquire(timeout=TICK_SECONDS):
             pass  # all units in flight; wait for the pool to catch up
 
         def run() -> None:
@@ -430,25 +427,16 @@ class CurveService:
 
     # -- worker side --------------------------------------------------
 
-    def _run_single(self, req: _Request, shard: bool = False) -> None:
-        cfg = req.config
-        if shard:
-            # Bounded-memory shard: the chunked incremental engine keeps
-            # the working set at O(u + chunk) regardless of trace
-            # length, so one oversized request cannot blow the service's
-            # memory the way a full-trace solve would.
-            cfg = cfg.replace(algorithm="chunked-iaf", chunk_size=None)
-            with self._lock:
-                self.counters.add("service.sharded")
+    def _run_single(self, req: _Request) -> None:
         tracer = get_tracer()
         span = (
             tracer.span("service.request", n=int(req.arr.size),
-                        algorithm=cfg.algorithm, sharded=int(shard))
+                        algorithm=req.config.algorithm)
             if tracer.enabled else NULL_SPAN
         )
         try:
             with span:
-                result = solve(req.arr, cfg)
+                result = solve(req.arr, req.config)
         except Exception as exc:  # noqa: BLE001 — delivered via the future
             self._finish(req, error=exc)
             return

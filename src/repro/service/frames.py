@@ -55,6 +55,12 @@ DTYPE_INT64 = 2
 DTYPE_BY_CODE = {DTYPE_INT32: np.dtype("<i4"), DTYPE_INT64: np.dtype("<i8")}
 CODE_BY_NAME = {"int32": DTYPE_INT32, "int64": DTYPE_INT64}
 
+
+def payload_code(payload: Optional[np.ndarray]) -> int:
+    """The dtype code of a frame carrying ``payload`` (none: DTYPE_NONE)."""
+    return DTYPE_NONE if payload is None else CODE_BY_NAME[payload.dtype.name]
+
+
 #: ``<`` little-endian: magic, frame type, dtype code, reserved,
 #: header_len (u32), payload_len (u64).
 _HEADER = struct.Struct("<4sBBHIQ")

@@ -110,7 +110,6 @@ MAX_LINE_LEN = 1 << 30
 def parse_request_obj(
     obj: Dict[str, Any],
     *,
-    default_config: Optional[SolveConfig] = None,
     require_trace: bool = True,
 ) -> Tuple[Any, SolveConfig, Optional[float], Optional[str], List[int]]:
     """Parse one already-decoded solve-request object.
@@ -119,9 +118,9 @@ def parse_request_obj(
     (whose trace may arrive as a payload, hence
     ``require_trace=False``).  Returns ``(trace, config, deadline,
     request_id, sizes)`` — ``trace`` is ``None`` when absent and not
-    required.  Raises :class:`ReproError` on malformed input.
+    required; ``config`` is ``SolveConfig(**the request's config
+    fields)``.  Raises :class:`ReproError` on malformed input.
     """
-    base = default_config if default_config is not None else SolveConfig()
     if not isinstance(obj, dict):
         raise ReproError("request JSON must be an object")
     schema.validate_fields(obj, schema.REQUEST_FIELDS, "request")
@@ -140,7 +139,7 @@ def parse_request_obj(
                 f"{sorted(schema.DTYPES)}"
             ) from None
     try:
-        cfg = base.replace(**changes) if changes else base
+        cfg = SolveConfig(**changes)
     except TypeError as exc:
         raise ReproError(f"bad request field: {exc}") from None
     deadline = _check_deadline(obj.get("deadline"))
@@ -150,9 +149,7 @@ def parse_request_obj(
 
 
 def parse_request(
-    line: str,
-    *,
-    default_config: Optional[SolveConfig] = None,
+    line: str
 ) -> Tuple[Any, SolveConfig, Optional[float], Optional[str], List[int]]:
     """Parse one request line.
 
@@ -163,7 +160,7 @@ def parse_request(
     obj = _decode_line(line)
     if obj is None:
         raise ReproError("empty request line")
-    return parse_request_obj(obj, default_config=default_config)
+    return parse_request_obj(obj)
 
 
 def _decode_line(line: Any) -> Optional[Dict[str, Any]]:
@@ -326,11 +323,9 @@ class LocalBackend:
         self,
         service: CurveService,
         *,
-        default_config: Optional[SolveConfig] = None,
         tenants: Optional["TenantService"] = None,
     ) -> None:
         self.service = service
-        self.default_config = default_config
         self.tenants = tenants
 
     def hello(self, req_id: Any, *, binary_ok: bool) -> Dict[str, Any]:
@@ -342,8 +337,8 @@ class LocalBackend:
     def record_protocol_error(self) -> None:
         self.service.record_protocol_error()
 
-    def submit(self, obj: Dict[str, Any], payload: Optional[np.ndarray],
-               dtype_code: int) -> Any:
+    def submit(self, obj: Dict[str, Any],
+               payload: Optional[np.ndarray]) -> Any:
         if payload is not None and "trace" in obj:
             raise ReproError(
                 "request carries both an inline trace and a payload; "
@@ -360,8 +355,7 @@ class LocalBackend:
             reply, queued = handle_tenant_request(obj, self.tenants)
             return reply if queued is None else queued
         trace, cfg, deadline, req_id, sizes = parse_request_obj(
-            obj, default_config=self.default_config,
-            require_trace=payload is None,
+            obj, require_trace=payload is None,
         )
         if payload is not None:
             # The payload's dtype is its wire encoding, not a width pin:
@@ -441,14 +435,13 @@ class _Stream:
         self,
         obj: Dict[str, Any],
         payload: Optional[np.ndarray] = None,
-        dtype_code: int = frames.DTYPE_NONE,
     ) -> None:
         """Hand one request to the backend; its reply follows."""
         req_id = obj.get("id")
         try:
             if obj.get("op") in _SYNC_OPS:
                 self.barrier()
-            answer = self.backend.submit(obj, payload, dtype_code)
+            answer = self.backend.submit(obj, payload)
         except Exception as exc:  # noqa: BLE001 — answered on the stream
             answer = _error_payload(req_id, exc)
         if isinstance(answer, dict):
@@ -542,7 +535,7 @@ def _serve_frames(rfile: BinaryIO, stream: _Stream) -> None:
             if obj.get("op") == schema.HELLO_OP:
                 stream.hello(obj, binary_ok=True, upgraded=True)
                 continue
-            stream.dispatch(obj, payload, dtype_code)
+            stream.dispatch(obj, payload)
     except ProtocolError as exc:
         stream.protocol_error(exc)
     finally:
@@ -560,7 +553,6 @@ def serve_stream(
     emit: Callable[[str], None],
     service: CurveService,
     *,
-    default_config: Optional[SolveConfig] = None,
     tenants: Optional["TenantService"] = None,
     upgrade: Optional[Callable[[], None]] = None,
 ) -> int:
@@ -581,8 +573,7 @@ def serve_stream(
     hello advertises the v1 protocol only.
     """
     stream = _Stream(
-        LocalBackend(service, default_config=default_config,
-                     tenants=tenants),
+        LocalBackend(service, tenants=tenants),
         lambda payload: emit(json.dumps(payload)),
     )
     upgraded = _serve_lines(lines, stream, binary_ok=upgrade is not None)
@@ -596,7 +587,6 @@ def serve_binary(
     wfile: BinaryIO,
     service: CurveService,
     *,
-    default_config: Optional[SolveConfig] = None,
     tenants: Optional["TenantService"] = None,
 ) -> int:
     """Run the v2 frame protocol over one byte stream.
@@ -605,8 +595,7 @@ def serve_binary(
     failed requests.
     """
     stream = _Stream(
-        LocalBackend(service, default_config=default_config,
-                     tenants=tenants),
+        LocalBackend(service, tenants=tenants),
         _frame_writer(wfile),
     )
     _serve_frames(rfile, stream)
@@ -642,8 +631,9 @@ class CurveServer(socketserver.ThreadingTCPServer):
     ``backend`` is a :class:`LocalBackend` (see :func:`serve_tcp`) or a
     :class:`~repro.cluster.ClusterFrontend`, which routes to a ring of
     shard servers.  A backend provides ``hello(req_id, *, binary_ok)``
-    (the advertisement), ``submit(obj, payload, dtype_code)`` (a reply
-    dict, or ``(future, formatter)``) and ``record_protocol_error()``.
+    (the advertisement), ``submit(obj, payload)`` (a reply dict, or
+    ``(future, formatter)``; ``payload`` is the v2 trace array, whose
+    dtype is its wire encoding) and ``record_protocol_error()``.
     """
 
     allow_reuse_address = True
@@ -659,7 +649,6 @@ def serve_tcp(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    default_config: Optional[SolveConfig] = None,
     tenants: Optional["TenantService"] = None,
 ) -> CurveServer:
     """Bind a one-node :class:`CurveServer`; the caller runs
@@ -668,8 +657,4 @@ def serve_tcp(
     ``port=0`` picks a free port (``server.server_address`` has the
     real one — the pattern the tests use).
     """
-    return CurveServer(
-        (host, port),
-        LocalBackend(service, default_config=default_config,
-                     tenants=tenants),
-    )
+    return CurveServer((host, port), LocalBackend(service, tenants=tenants))

@@ -132,7 +132,7 @@ class TestKillPlan:
         trace = np.random.default_rng(9).integers(0, 400, size=6000)
         cfg = SolveConfig(algorithm="process-iaf", workers=2)
         try:
-            with CurveService(workers=1, shard_threshold=1000) as svc:
+            with CurveService(workers=1) as svc:
                 with inject_worker_kills(kills=1) as plan:
                     result = svc.submit(trace, cfg).result(timeout=120)
             assert plan.events, "fault hook never fired"

@@ -8,7 +8,7 @@ Acceptance anchors (ISSUE 5):
   serialization-spy test monkeypatches the executor's single
   serialization point and walks every outbound message for ndarrays;
 * the pool is actually persistent: worker PIDs are stable across
-  requests, and the service's sharded ``process-iaf`` path reuses it.
+  requests, and the service's ``process-iaf`` requests reuse it.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ class TestLifecycle:
 
 class TestServiceIntegration:
     def test_sharded_process_requests_share_the_pool(self):
-        """Per-request process-iaf solves above the shard threshold run
-        as asked, on the one shared pool, which outlives the service."""
+        """Per-request process-iaf solves run as asked, on the one
+        shared pool, which outlives the service."""
         from repro import SolveConfig
         from repro.service import CurveService
 
@@ -308,7 +308,7 @@ class TestServiceIntegration:
         trace = np.random.default_rng(5).integers(0, 500, size=5000)
         cfg = SolveConfig(algorithm="process-iaf", workers=2)
         try:
-            with CurveService(workers=1, shard_threshold=1000) as svc:
+            with CurveService(workers=1) as svc:
                 ex = default_executor(2)
                 pids = ex.worker_pids()
                 r1 = svc.submit(trace, cfg).result(timeout=120)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import SolveConfig
+from repro.core import api
 from repro.core.engine import iaf_hit_rate_curve
 from repro.errors import (
     CapacityError,
@@ -23,6 +24,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.service import CurveService
+from repro.service.curve_service import TICK_SECONDS
 
 
 def make_traces(seed: int, count: int, max_len: int = 1200):
@@ -77,15 +79,38 @@ class TestDifferential:
             assert np.array_equal(res.curve.hits_cumulative, expect)
             assert res.curve.truncated_at == k
 
-    def test_sharded_oversize_matches_direct(self):
-        trace = np.random.default_rng(5).integers(0, 500, size=5000)
-        with CurveService(workers=1, shard_threshold=1000) as svc:
-            result = svc.submit(trace).result(timeout=60)
-        assert np.array_equal(result.curve.hits_cumulative,
-                              iaf_hit_rate_curve(trace).hits_cumulative)
-        # Oversized requests ride the bounded-memory chunked engine.
-        assert result.config.algorithm == "chunked-iaf"
-        assert svc.metrics()["service.sharded"] == 1
+    def test_oversize_iaf_runs_alone(self, monkeypatch):
+        """With the size rule lowered, an oversize ``iaf`` request runs
+        as its own unit on the chunked engine, unrewritten, while the
+        small requests of the same tick coalesce."""
+        monkeypatch.setattr(api, "CHUNKED_THRESHOLD", 1000)
+        chunked_sizes = []
+        real = api.chunked_iaf
+
+        def spy(trace, *args, **kwargs):
+            chunked_sizes.append(int(trace.size))
+            return real(trace, *args, **kwargs)
+
+        monkeypatch.setattr(api, "chunked_iaf", spy)
+        rng = np.random.default_rng(5)
+        big = rng.integers(0, 500, size=5000)
+        small = [rng.integers(0, 50, size=300) for _ in range(3)]
+        with CurveService(workers=1) as svc:
+            svc.pause()
+            futures = [svc.submit(t) for t in (small[0], big, *small[1:])]
+            svc.resume()
+            results = [f.result(timeout=60) for f in futures]
+        metrics = svc.metrics()
+        assert metrics["service.batches"] == 1
+        assert metrics["service.batched_requests"] == 3
+        assert chunked_sizes == [5000]
+        for trace, res in zip((small[0], big, *small[1:]), results):
+            assert np.array_equal(res.curve.hits_cumulative,
+                                  iaf_hit_rate_curve(trace).hits_cumulative)
+        oversize = results[1]
+        assert oversize.config == SolveConfig()
+        assert oversize.summary()["algorithm"] == "iaf"
+        assert oversize.distances is None and not oversize.batched
 
 
 class TestBackpressure:
@@ -257,7 +282,7 @@ class TestLifecycle:
             release.set()
             pauser.join(timeout=30)
             assert not pauser.is_alive()
-            time.sleep(10 * svc._tick)
+            time.sleep(10 * TICK_SECONDS)
             assert len(starts) == 1
         finally:
             release.set()

@@ -53,11 +53,6 @@ class TestParseRequest:
         trace, *_ = parse_request('{"trace": [1, 2, 1]}')
         assert trace == [1, 2, 1]
 
-    def test_default_config_inherited(self):
-        base = SolveConfig(engine_backend="naive")
-        _t, cfg, *_ = parse_request('{"trace": "x"}', default_config=base)
-        assert cfg.engine_backend == "naive"
-
     @pytest.mark.parametrize("line,match", [
         ("", "empty"),
         ("{not json", "bad request JSON"),
@@ -196,6 +191,86 @@ class TestServeCLI:
         captured = capsys.readouterr()
         assert json.loads(captured.out.strip())["ok"] is False
         assert "service.queue_depth" in captured.err
+
+
+class TestServeClusterFlags:
+    def test_every_forwarded_flag_parses(self, monkeypatch):
+        """A shard is ``repro serve`` with the flags the ring forwards;
+        each must parse, or every shard exits at start."""
+        import types
+
+        import repro.cluster.spawn as spawn
+        from repro.cli import build_parser
+
+        commands = []
+
+        class Spawned(Exception):
+            pass
+
+        def popen(cmd, **kwargs):
+            commands.append(cmd)
+            raise Spawned
+
+        monkeypatch.setattr(spawn, "subprocess", types.SimpleNamespace(
+            Popen=popen, DEVNULL=None, PIPE=None,
+        ))
+        with pytest.raises(Spawned):
+            main(["serve", "--cluster", "2", "--port", "0",
+                  "--workers", "3", "--max-queue", "17", "--max-batch", "5",
+                  "--default-deadline", "4.5", "--tenant-budget-mb", "64",
+                  "--tenant-sample-rate", "0.25"])
+        cmd = commands[0]
+        args = build_parser().parse_args(cmd[cmd.index("repro") + 1:])
+        assert args.command == "serve" and args.cluster is None
+        assert args.tenants and args.port == 0 and args.workers == 3
+        assert (args.max_queue, args.max_batch) == (17, 5)
+        assert args.default_deadline == 4.5
+        assert args.tenant_budget_mb == 64.0
+        assert args.tenant_sample_rate == 0.25
+
+
+class TestRemovedIn7:
+    """7.0 turned the serving layer's unset knobs into constants and
+    moved the size rule into ``solve()``; the old keywords fail loudly."""
+
+    @pytest.mark.parametrize("keyword", [
+        "shard_threshold", "tick_seconds", "latency_window",
+    ])
+    def test_curve_service_keyword_is_gone(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            CurveService(**{keyword: 1})
+
+    def test_default_config_keyword_is_gone(self):
+        from repro.service import parse_request_obj, serve_binary
+        from repro.service.server import LocalBackend
+
+        cfg = SolveConfig()
+        with CurveService(workers=1) as svc:
+            calls = [
+                lambda: parse_request('{"trace": "x"}', default_config=cfg),
+                lambda: parse_request_obj({"trace": "x"},
+                                          default_config=cfg),
+                lambda: LocalBackend(svc, default_config=cfg),
+                lambda: serve_stream(iter(()), print, svc,
+                                     default_config=cfg),
+                lambda: serve_binary(io.BytesIO(), io.BytesIO(), svc,
+                                     default_config=cfg),
+                lambda: serve_tcp(svc, "127.0.0.1", 0, default_config=cfg),
+            ]
+            for call in calls:
+                with pytest.raises(TypeError, match="default_config"):
+                    call()
+
+    def test_shard_threshold_constant_is_gone(self):
+        with pytest.raises(ImportError):
+            exec("from repro.service.curve_service import "
+                 "DEFAULT_SHARD_THRESHOLD", {})
+
+    def test_shard_threshold_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--shard-threshold", "5"])
+        assert exc.value.code == 2
+        assert "--shard-threshold" in capsys.readouterr().err
 
 
 class TestServeTCP:
