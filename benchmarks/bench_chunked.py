@@ -19,12 +19,21 @@ watermark:
 * **wide** — a tenant-shaped stream whose universe is far wider than a
   chunk: Zipf-0.8 over u = 65 536 in 20 000-access pushes, with a
   ``curve()`` query after every third push, at chunks 4 096 and 32 768.
-  Each chunk solves only the living entries it references, so the
-  accesses solved per access pushed, ``Σ(referenced + n) / Σn`` over the
-  ``chunked.chunk`` spans, stays at most 2 however large the carry.
-  Each solved access is sorted once: the accesses sorted per access
-  pushed, ``Σ(accesses sorted) / Σn`` counted by
-  :func:`repro.qa.count_sorts`, equals that amplification.
+  Each chunk sorts only the living entries it references, so the
+  amplification ``Σ(referenced + n) / Σn`` over the ``chunked.chunk``
+  spans stays at most 2 however large the carry, and the accesses
+  sorted per access pushed, ``Σ(accesses sorted) / Σn`` counted by
+  :func:`repro.qa.count_sorts`, equal it: one sort per chunk.  The
+  level loop solves the chunk alone: the level-loop accesses per
+  access pushed, ``Σn`` over the ``iaf.solve`` spans (one per
+  ``iaf_distances`` call) over ``Σn`` pushed, is exactly 1.
+* **solve** — :func:`repro.solve` under the default config against the
+  one-shot loop (:func:`~repro.core.engine.iaf_hit_rate_curve`), one
+  fresh subprocess per point, on a Zipf-0.8 trace over u = 26 800
+  (``offline_solve``'s shape) and uniform traces over u = 100 000 and
+  u = n.  From ``CHUNKED_THRESHOLD`` accesses on, ``solve()`` runs the
+  chunked engine.  Each point records the solve's CPU seconds and the
+  process's peak RSS; the curves must be equal.
 * **tenants** — 16 exact tenants of one
   :class:`~repro.tenants.TenantRegistry`, all pushed from one thread:
   10 rounds of one 20 000-access Zipf-1.1 push per tenant over
@@ -46,7 +55,10 @@ Acceptance bars (recorded in ``BENCH_chunked.json``):
   ``THROUGHPUT_FLOOR`` of the batch engine;
 * the wide arm's amplification is at most ``AMPLIFICATION_CAP``, and
   its accesses sorted per access pushed equal its amplification (one
-  sort per solved access);
+  sort per chunk);
+* the wide arm's level-loop accesses per access pushed are exactly
+  ``LEVEL_LOOP_PER_ACCESS`` (1.0);
+* every ``solve()`` point's curve equals the one-shot loop's;
 * every tenant's curve matches the batch engine.
 
 Runs two ways: under pytest like the sibling benches, or as a script
@@ -85,7 +97,12 @@ WIDE_UNIVERSE = 65536        # the wide arm: a tenant-shaped stream
 WIDE_PUSH = 20000
 WIDE_QUERY_EVERY = 3         # a curve() query after every third push
 WIDE_CHUNKS = (4096, 32768)
-AMPLIFICATION_CAP = 2.0      # accesses solved per access pushed
+AMPLIFICATION_CAP = 2.0      # accesses sorted per access pushed
+LEVEL_LOOP_PER_ACCESS = 1.0  # level-loop accesses per access pushed
+
+SOLVE_TRACES = ("zipf", "uniform-100k", "uniform-n")  # the solve arm
+SOLVE_ZIPF_UNIVERSE = 26800
+SOLVE_UNIFORM_UNIVERSE = 100_000
 
 TENANTS = 16                 # the tenants arm: exact tenants, one thread
 TENANT_UNIVERSE = 65536
@@ -161,6 +178,38 @@ def _tenants_child() -> Dict[str, float]:
     }
 
 
+def _solve_trace(kind: str, n: int, seed: int = 31) -> np.ndarray:
+    """The solve arm's trace of shape ``kind``."""
+    from repro.workloads import zipfian_trace
+
+    if kind == "zipf":
+        return zipfian_trace(n, SOLVE_ZIPF_UNIVERSE, 0.8, seed=seed)
+    universe = SOLVE_UNIFORM_UNIVERSE if kind == "uniform-100k" else n
+    return np.random.default_rng(seed).integers(0, universe, size=n)
+
+
+def _solve_child(mode: str, n: int) -> Dict[str, float]:
+    """One side of the solve arm: ``solve`` or ``oneshot`` on a trace."""
+    import repro
+    from repro.core.api import runs_chunked
+    from repro.core.engine import iaf_hit_rate_curve
+
+    side, kind = mode.split(":")
+    trace = _solve_trace(kind, n)
+    t0 = time.process_time()
+    if side == "solve":
+        curve = repro.solve(trace).curve
+    else:
+        curve = iaf_hit_rate_curve(trace)
+    return {
+        "rss_kb": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        "cpu_seconds": time.process_time() - t0,
+        "checksum": float(_checksum(curve)),
+        "chunked": float(side == "solve"
+                         and runs_chunked(repro.SolveConfig(), n)),
+    }
+
+
 def _checksum(curve) -> int:
     return int(curve.hits_cumulative.sum()) + curve.total_accesses * 10**9
 
@@ -168,6 +217,8 @@ def _checksum(curve) -> int:
 def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
     if mode == "tenants":
         return _tenants_child()
+    if ":" in mode:
+        return _solve_child(mode, n)
     stream = _wide_stream(n) if mode.startswith("wide") else _push_stream(n)
     extra: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -201,6 +252,8 @@ def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
         spans = [e.attrs for e in tracer.events()
                  if e.name == "chunked.chunk"]
         pushed = sum(a["n"] for a in spans)
+        looped = sum(e.attrs["n"] for e in tracer.events()
+                     if e.name == "iaf.solve")
         extra = {
             "chunks": float(len(spans)),
             "amplification": (
@@ -210,6 +263,7 @@ def _child(mode: str, n: int, chunk: int) -> Dict[str, float]:
             "sorts_per_access": (
                 sum(sorted_sizes) / pushed if pushed else 0.0
             ),
+            "level_loop_per_access": looped / pushed if pushed else 0.0,
         }
     seconds = time.perf_counter() - t0
     return {
@@ -238,6 +292,8 @@ def _run_point(mode: str, n: int, chunk: int) -> Dict[str, float]:
 
 
 def measure(n: int) -> Dict[str, object]:
+    from repro.core.api import CHUNKED_THRESHOLD
+
     default_chunk = 32768
     batch_1 = _run_point("batch", n, 0)
     batch_4 = _run_point("batch", 4 * n, 0)
@@ -253,6 +309,11 @@ def measure(n: int) -> Dict[str, object]:
         point = _run_point("wide", n, chunk)
         point["chunk"] = chunk
         wide.append(point)
+    solves = [
+        {"trace": kind, **{side: _run_point(f"{side}:{kind}", n, 0)
+                           for side in ("solve", "oneshot")}}
+        for kind in SOLVE_TRACES
+    ]
     return {
         "n": n,
         "universe": UNIVERSE,
@@ -266,6 +327,12 @@ def measure(n: int) -> Dict[str, object]:
             "query_every": WIDE_QUERY_EVERY,
             "batch": _run_point("wide-batch", n, 0),
             "points": wide,
+        },
+        "solve": {
+            "threshold": CHUNKED_THRESHOLD,
+            "zipf_universe": SOLVE_ZIPF_UNIVERSE,
+            "uniform_universe": SOLVE_UNIFORM_UNIVERSE,
+            "points": solves,
         },
         "tenants": {
             "tenants": TENANTS,
@@ -332,8 +399,21 @@ def verify(results: Dict[str, object]) -> List[str]:
             problems.append(
                 f"wide-universe chunk {point['chunk']} sorted "
                 f"{point['sorts_per_access']:.4f} accesses per access "
-                f"pushed, not one sort per solved access "
+                f"pushed, not one sort per chunk "
                 f"({point['amplification']:.4f})"
+            )
+        if point["level_loop_per_access"] != LEVEL_LOOP_PER_ACCESS:
+            problems.append(
+                f"wide-universe chunk {point['chunk']} ran "
+                f"{point['level_loop_per_access']:.4f} level-loop accesses "
+                f"per access pushed, not {LEVEL_LOOP_PER_ACCESS} (the "
+                f"level loop solves the chunk alone)"
+            )
+    for point in results["solve"]["points"]:
+        if point["solve"]["checksum"] != point["oneshot"]["checksum"]:
+            problems.append(
+                f"solve() on the {point['trace']} trace diverges from the "
+                "one-shot loop"
             )
     mismatched = int(results["tenants"]["mismatched_curves"])
     if mismatched:
@@ -384,11 +464,12 @@ def _render(results: Dict[str, object]) -> str:
     wide = results["wide"]
     wide_rows = [
         ["batch", f"{n:,}", f"{wide['batch']['rss_kb'] / 1024:.0f}",
-         f"{wide['batch']['seconds']:.2f}", "-", "-"],
+         f"{wide['batch']['seconds']:.2f}", "-", "-", "-"],
     ] + [
         [f"chunked c={p['chunk']:,}", f"{n:,}",
          f"{p['rss_kb'] / 1024:.0f}", f"{p['seconds']:.2f}",
-         f"{p['amplification']:.2f}", f"{p['sorts_per_access']:.2f}"]
+         f"{p['amplification']:.2f}", f"{p['sorts_per_access']:.2f}",
+         f"{p['level_loop_per_access']:.2f}"]
         for p in wide["points"]
     ]
     tenants = results["tenants"]
@@ -405,17 +486,41 @@ def _render(results: Dict[str, object]) -> str:
           f"{tenants['seconds']:.2f}",
           f"{tenants['mismatched_curves']:.0f}"]],
     )
-    return narrow + "\n" + tenant_table + "\n" + render_table(
-        f"Wide universe (u={wide['universe']:,}, "
-        f"{wide['push']:,}-access pushes, a query every "
-        f"{wide['query_every']} pushes)",
-        ["engine", "accesses", "peak RSS (MB)", "wall (s)",
-         "amplification", "sorted/pushed"],
-        wide_rows,
-        note=f"amplification = Σ(referenced + n) / Σn over the chunk "
-             f"spans; cap {AMPLIFICATION_CAP}; sorted/pushed = Σ(accesses "
-             f"sorted) / Σn must equal it (one sort per solved access)",
+    solve = results["solve"]
+    solve_rows = [
+        [p["trace"], f"{n:,}",
+         f"{p['solve']['cpu_seconds']:.2f}",
+         f"{p['oneshot']['cpu_seconds']:.2f}",
+         f"{p['solve']['cpu_seconds'] / p['oneshot']['cpu_seconds']:.2f}"
+         if p["oneshot"]["cpu_seconds"] else "-",
+         f"{p['solve']['rss_kb'] / 1024:.0f}",
+         f"{p['oneshot']['rss_kb'] / 1024:.0f}",
+         "yes" if p["solve"]["chunked"] else "no"]
+        for p in solve["points"]
+    ]
+    solve_table = render_table(
+        f"solve() vs the one-shot loop (rule from "
+        f"{solve['threshold']:,} accesses; Zipf-0.8 over "
+        f"u={solve['zipf_universe']:,}, uniform over "
+        f"u={solve['uniform_universe']:,} and u=n)",
+        ["trace", "accesses", "solve CPU (s)", "one-shot CPU (s)",
+         "ratio", "solve RSS (MB)", "one-shot RSS (MB)", "chunked"],
+        solve_rows,
     )
+    return narrow + "\n" + tenant_table + "\n" + solve_table + "\n" + \
+        render_table(
+            f"Wide universe (u={wide['universe']:,}, "
+            f"{wide['push']:,}-access pushes, a query every "
+            f"{wide['query_every']} pushes)",
+            ["engine", "accesses", "peak RSS (MB)", "wall (s)",
+             "amplification", "sorted/pushed", "looped/pushed"],
+            wide_rows,
+            note=f"amplification = Σ(referenced + n) / Σn over the chunk "
+                 f"spans; cap {AMPLIFICATION_CAP}; sorted/pushed = "
+                 f"Σ(accesses sorted) / Σn must equal it (one sort per "
+                 f"chunk); looped/pushed = Σn over the iaf.solve spans / "
+                 f"Σn must be {LEVEL_LOOP_PER_ACCESS}",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +555,10 @@ def main() -> int:
         "= sorted per pushed "
         + ", ".join(f"{p['amplification']:.2f}"
                     for p in results["wide"]["points"])
+        + "; level loop per pushed "
+        + ", ".join(f"{p['level_loop_per_access']:.2f}"
+                    for p in results["wide"]["points"])
+        + "; solve() curves equal the one-shot loop's"
     )
     return 0
 

@@ -72,11 +72,14 @@ from repro.core.engine import iaf_hit_rate_curve
 from repro.errors import ServiceOverloadedError
 from repro.service import CurveService
 
-#: ``solve()``'s size rule from this many accesses instead of 1 Mi, so
-#: the corpus's one oversize trace runs on the chunked engine without a
-#: million-access trace in the soak.
-CHUNKED_THRESHOLD = 200_000
-api.CHUNKED_THRESHOLD = CHUNKED_THRESHOLD
+#: Length of the corpus's one oversize trace: past ``solve()``'s size
+#: rule (``api.CHUNKED_THRESHOLD``), so it runs on the chunked engine.
+OVERSIZE = 250_000
+
+
+def runs_chunked(trace: np.ndarray) -> bool:
+    """Whether the default config's solve of ``trace`` runs chunked."""
+    return api.runs_chunked(SolveConfig(), trace.size)
 
 
 def rss_kib() -> int:
@@ -99,7 +102,8 @@ def build_corpus(seed: int) -> List[np.ndarray]:
         rng.integers(0, 5_000, size=int(n))
         for n in rng.integers(20_000, 60_000, size=3)
     ]
-    corpus.append(rng.integers(0, 20_000, size=CHUNKED_THRESHOLD + 50_000))
+    corpus.append(rng.integers(0, 20_000, size=OVERSIZE))
+    assert runs_chunked(corpus[-1]), "the oversize trace must run chunked"
     return corpus
 
 
@@ -136,7 +140,7 @@ def client_loop(
         trace = corpus[idx]
         # The oversize trace always goes through the default config so it
         # exercises the chunked path; small traces draw from the full menu.
-        oversize = trace.size >= CHUNKED_THRESHOLD
+        oversize = runs_chunked(trace)
         cfg = SolveConfig() if oversize else rng.choice(configs)
         try:
             future = service.submit(trace, cfg, deadline=120.0)
@@ -498,7 +502,7 @@ def run_soak(args: argparse.Namespace) -> int:
 
     # Prime each config path once so first-touch allocation (imports,
     # per-worker workspaces) is out of the way before the clock starts.
-    small = [t for t in corpus if t.size < CHUNKED_THRESHOLD]
+    small = [t for t in corpus if not runs_chunked(t)]
     for cfg in config_menu():  # wave per config; chunked to fit the queue
         for at in range(0, len(small), args.max_queue):
             warm = [service.submit(t, cfg, deadline=120.0)

@@ -23,6 +23,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -32,6 +33,8 @@ from .frontend import ClusterFrontend
 
 _READY_RE = re.compile(r"serving on ([^\s:]+):(\d+)")
 _READY_TIMEOUT = 30.0
+#: How often a shard that has not reported its port is checked for exit.
+_READY_POLL = 0.05
 
 
 @dataclass
@@ -95,6 +98,28 @@ def _spawn_shard(index: int, *, host: str, workers: int,
     )
     shard._watcher.start()
     return shard
+
+
+def _await_ready(shard: ShardProcess) -> None:
+    """Wait for ``shard`` to report its port; raise :class:`ReproError`
+    once it has exited without one, or after :data:`_READY_TIMEOUT`."""
+    deadline = time.monotonic() + _READY_TIMEOUT
+    while not shard._ready.wait(timeout=_READY_POLL):
+        if not shard.alive:
+            # The watcher reads the pipe to EOF: let it finish the tail.
+            if shard._watcher is not None:
+                shard._watcher.join(timeout=1.0)
+            if shard._ready.is_set():
+                return
+            problem = (f"exited with code {shard.proc.returncode} before "
+                       f"reporting a port")
+        elif time.monotonic() >= deadline:
+            problem = (f"did not report a port within "
+                       f"{_READY_TIMEOUT:.0f}s")
+        else:
+            continue
+        tail = "\n".join(shard._stderr_tail)
+        raise ReproError(f"{shard.name} {problem}; stderr tail:\n{tail}")
 
 
 def _stop_shards(shards: List[ShardProcess], *, kill: bool,
@@ -165,8 +190,9 @@ def spawn_ring(
 
     ``extra_args`` append raw ``repro serve`` flags to every shard
     (e.g. ``("--max-queue", "1024")``).  Raises :class:`ReproError`
-    (after reaping everything already started) if any shard fails to
-    come up within 30s.
+    (after reaping everything already started) as soon as a shard exits
+    before reporting its port, or if one does not come up within 30s;
+    the message carries the shard's stderr tail.
     """
     if n < 1:
         raise ValueError(f"cluster size must be >= 1, got {n}")
@@ -178,12 +204,7 @@ def spawn_ring(
                 extra_args=tuple(extra_args),
             ))
         for shard in shards:
-            if not shard._ready.wait(timeout=_READY_TIMEOUT):
-                tail = "\n".join(shard._stderr_tail)
-                raise ReproError(
-                    f"{shard.name} did not report a port within "
-                    f"{_READY_TIMEOUT:.0f}s; stderr tail:\n{tail}"
-                )
+            _await_ready(shard)
         frontend = ClusterFrontend(
             {s.name: (s.host, s.port) for s in shards},
             replicas=replicas, heartbeat_interval=heartbeat_interval,

@@ -54,7 +54,7 @@ from .._typing import TraceLike, as_trace
 from ..errors import ReproError
 from ..extmem.blockdevice import MemoryConfig
 from .bounded import bounded_iaf
-from .chunked import chunked_iaf
+from .chunked import DEFAULT_CHUNK_SIZE, chunked_iaf
 from .config import ALGORITHMS, ENGINE_ALGORITHMS, SolveConfig, SolveResult
 from .engine import (
     EngineStats,
@@ -83,8 +83,10 @@ _LEVEL_LOOP_ALGORITHMS = ("iaf", "parallel-iaf", "process-iaf")
 
 #: Trace length from which an ``iaf`` solve runs on the chunked engine
 #: (Section 7's living-request carry) at its default chunk: O(u + chunk)
-#: memory instead of O(n), and the same curve bit for bit.
-CHUNKED_THRESHOLD = 1 << 20
+#: memory instead of O(n), and the same curve bit for bit.  A chunk's
+#: level loop solves the chunk alone, so from a few chunks on the
+#: chunked path takes about as much CPU as the one-shot loop, or less.
+CHUNKED_THRESHOLD = 4 * DEFAULT_CHUNK_SIZE
 
 
 def runs_chunked(cfg: SolveConfig, n: int) -> bool:

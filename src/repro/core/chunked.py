@@ -18,17 +18,16 @@ over ``L · C`` equal distinct counts over the full trace — Lemma 7.1
 with the truncation bound removed.  BOUNDED-IAF's ``Q̄`` suffix is the
 ``k``-truncated special case of this carry.
 
-The engine does not solve all of ``L``, though.  A living entry whose
-address the chunk never touches adds exactly 1 to the distance of each
-chunk access whose previous occurrence is an older carry entry, and
-nothing else.  So each chunk solves only ``referenced · C``, the ``r``
-living entries the chunk touches followed by the chunk, with the
-engine's level loop, adds the count of newer unreferenced entries back
-to each distance that reaches into the carry, and reads a chunk
-access's stack distance at its previous occurrence, ``d[prev(i)]``.
-Since ``r`` is at most the chunk's distinct count, a solve covers at
-most ``2 * chunk`` accesses: its cost follows the chunk, not the
-universe.
+The engine does not solve all of ``L``, though.  It sorts
+``referenced · C``, the ``r`` living entries the chunk touches followed
+by the chunk (``r`` is at most the chunk's distinct count), and runs
+the engine's level loop over ``C`` alone, its ``prev`` rebased into the
+chunk: a chunk access reused inside the chunk reads its stack distance
+at its previous occurrence, ``d[prev(i)]``.  A carry hit's distance is
+its depth in the LRU stack ``L`` seeds, which a rank count over the
+``r`` referenced entries gives (a Bennett–Kruskal-style count, see
+:meth:`ChunkedIAF._solve_chunk`).  So a chunk solve's level loop
+covers ``n`` accesses: its cost follows the chunk, not the universe.
 
 Consequences:
 
@@ -92,6 +91,48 @@ def _restate_truncation(curve: HitRateCurve, k: int) -> HitRateCurve:
     )
 
 
+def inversions_after(a: np.ndarray) -> np.ndarray:
+    """``out[q] = #{q' > q : a[q'] < a[q]}`` for distinct ``a >= 0``.
+
+    A bitwise wavelet sweep, most significant bit first.  Two values
+    first differ at one bit, where the smaller has a 0, so every pair
+    counts exactly once: at that bit, inside the group of slots sharing
+    the higher bits, as a 0-slot after a 1-slot.  Each bit stably moves
+    the 0-slots of every group ahead of its 1-slots, which keeps each
+    group contiguous and in ``q`` order.  Per bit: one cumsum of the
+    0-bits, one gather of that cumsum at each slot's group end, a few
+    arithmetic passes and three scatters, so O(r log max(a)) in all.
+    """
+    r = a.size
+    out = np.zeros(r, dtype=np.int64)
+    if r < 2:
+        return out
+    # Each slot carries its value above its index, so one array moves both.
+    shift = (r - 1).bit_length()
+    key = (a.astype(np.int64) << shift) | np.arange(r, dtype=np.int64)
+    end = np.full(r, r, dtype=np.int64)  # exclusive end of the slot's group
+    count = np.zeros(r, dtype=np.int64)
+    slots = np.arange(r, dtype=np.int64)
+    zeros = np.zeros(r + 1, dtype=np.int64)  # 0-bits before each slot
+    one = np.empty(r, dtype=np.int64)
+    for b in range(int(a.max()).bit_length() - 1, -1, -1):
+        np.right_shift(key, b + shift, out=one)
+        np.bitwise_and(one, 1, out=one)
+        np.cumsum(1 - one, out=zeros[1:])
+        z, z_end, total = zeros[:-1], zeros[end], zeros[-1]
+        count += one * (z_end - z)
+        # 0-slots keep their order from slot 0; 1-slots follow them.
+        to = z + one * (total + slots - 2 * z)
+        new_end = z_end + one * (total + end - 2 * z_end)
+        moved = np.empty((3, r), dtype=np.int64)
+        moved[0, to] = key
+        moved[1, to] = new_end
+        moved[2, to] = count
+        key, end, count = moved
+    out[key & ((1 << shift) - 1)] = count
+    return out
+
+
 def add_curves(
     total: Optional[HitRateCurve], piece: HitRateCurve
 ) -> HitRateCurve:
@@ -116,10 +157,10 @@ class ChunkedIAF:
 
     ``dtype=None`` keeps int64 addresses and solves each chunk at the
     width :func:`~repro.core.engine.certify_int32` proves exact: a
-    chunk solve's positions stay below ``r + n <= 2 * chunk_size``
-    however wide the addresses, so that is int32 ops and an int32
-    accumulator for any chunk short of ~2²⁹ accesses.  An explicit
-    ``dtype`` pins addresses and chunk solves alike.
+    chunk solve's positions stay below ``n <= chunk_size`` however wide
+    the addresses, so that is int32 ops and an int32 accumulator for
+    any chunk short of ~2³⁰ accesses.  An explicit ``dtype`` pins
+    addresses and chunk solves alike.
 
     An engine owns no level buffers: each chunk solve runs in the
     calling thread's :func:`~repro.core.engine.thread_workspace`, so any
@@ -371,29 +412,39 @@ class ChunkedIAF:
     def _solve_chunk(
         self, chunk: np.ndarray, span
     ) -> Tuple[HitRateCurve, np.ndarray, np.ndarray]:
-        """Solve ``referenced · chunk`` and keep the chunk's contributions.
+        """Solve the chunk against the carry; keep its contributions.
 
         ``referenced`` is the ``r`` living entries whose address the chunk
-        touches, in carry order.  An unreferenced living entry appears
-        nowhere in the chunk, so it adds exactly 1 to the distance of
-        every chunk access whose previous occurrence is an older carry
-        entry, and nothing to any other.  Dropping those entries from the
-        solve and adding their count back is therefore exact: a chunk
-        access whose previous occurrence is the ``q``-th referenced entry,
-        at carry index ``j`` of ``m``, gains ``(m-1-j) - (r-1-q)``, before
-        any ``k + 1`` clip.  The solve covers ``r + n <= 2n`` accesses
-        however large the carry; ``r`` is recorded on ``span`` as
-        ``referenced``.
+        touches, in carry order; ``r`` is recorded on ``span``.  The
+        trace ``referenced · chunk`` is sorted once, and its ``prev``
+        and ``next`` serve everything below.
 
-        The solved trace is sorted once.  Its ``prev`` builds the ops and
-        reads each chunk access's distance at its previous occurrence:
-        the backward distance ``d[j]`` counts the distinct addresses of
-        ``solved[j : next(j)]``, the window of the access at ``next(j)``.
-        Each referenced entry is the previous occurrence of exactly one
-        chunk access, so the correction goes onto ``d[:r]``.  The same
-        sort's ``next`` marks the chunk's last occurrences for the carry
-        update.  Returns the chunk's curve, the ``referenced`` mask over
-        the carry and that ``next``.
+        Only the chunk goes through the level loop, with ``prev``
+        rebased into it (``prev - r``, or ``-1`` where the previous
+        occurrence is a carry entry).  A within-chunk reuse reads its
+        distance at its previous occurrence, ``d[prev - r]``: the
+        backward distance ``d[j]`` counts the distinct addresses of
+        ``chunk[j : next(j)]``, the window of the access at ``next(j)``.
+
+        A carry hit is the first chunk access ``i`` of the ``q``-th
+        referenced entry, at carry index ``j`` of ``m``.  Its distance
+        is its depth in the LRU stack the carry seeds, after the chunk's
+        first ``i`` accesses have run::
+
+            (m - j) + F(i) - inv(q)
+
+        ``m - j`` counts the entry and the living entries newer than it.
+        ``F(i)`` counts the chunk's first occurrences before ``i``: each
+        brings a distinct address to the top.  ``inv(q)`` counts those
+        that are newer referenced entries, already in ``m - j``:
+        :func:`inversions_after` of ``a = next[:r] - r``, each entry's
+        first position in the chunk.  So the level loop solves ``n``
+        accesses however large the carry, and the depths take one
+        O(r log n) rank count.
+
+        The same ``next`` marks the chunk's last occurrences for the
+        carry update.  Returns the chunk's curve, the ``referenced``
+        mask over the carry and that ``next``.
         """
         living = self._living_addrs
         m = living.size
@@ -407,12 +458,16 @@ class ChunkedIAF:
         if self._memory is not None:
             self._memory.observe("chunked.chunk", int(solved.nbytes) * 2)
         prev, nxt = prev_next_arrays(solved, engine_backend=self._backend)
-        d = iaf_distances(solved, dtype=self._width, stats=self._stats,
-                          engine_backend=self._backend, prev=prev)
-        d[:r] += (m - 1 - ref_idx) - (r - 1 - np.arange(r))
         prev_chunk = prev[r:]
-        # A compulsory miss (prev == -1) reads d[-1]; the curve skips it.
-        f = d[prev_chunk]
+        local = np.maximum(prev_chunk - r, -1)
+        d = iaf_distances(chunk, dtype=self._width, stats=self._stats,
+                          engine_backend=self._backend, prev=local)
+        # A carry hit or a compulsory miss reads d[-1]; the hits are
+        # overwritten below and the curve skips the misses.
+        f = d[local]
+        first = nxt[:r] - r
+        seen = np.cumsum(prev_chunk < r)  # F(i) + 1 at a first touch
+        f[first] = (m - 1 - ref_idx) + seen[first] - inversions_after(first)
         if self._memory is not None:
             self._memory.observe("chunked.chunk", 0)
         # Only prev == -1 (a compulsory miss) matters to the curve.

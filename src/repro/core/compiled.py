@@ -19,9 +19,10 @@ Design rules (mirrored by ``tests/core/test_engine_compiled.py``):
 * **Bit identity.**  Every kernel accumulates in int64 and stores with
   numpy's unsafe-cast (two's-complement truncating) semantics, exactly
   like the fused kernel's ``np.add(..., out=narrow)`` writes, so the
-  certified-int32 mode wraps identically.  Head-effect overflow is
-  *checked* (flag array, raised as ``CapacityError`` by the caller)
-  just like ``_check_head_overflow``.
+  certified-int32 mode wraps identically.  An ``r`` store out of the
+  narrow range (a head effect or a kept op's ``r``) is *checked* (flag
+  array, raised as ``CapacityError`` by the caller) just like
+  ``_check_head_overflow``.
 * **prange layout.**  The partition kernel parallelizes over segments
   — independent child partitions within one level, and independent
   traces in a batched solve (``batch_segments`` seeds one segment per
@@ -111,15 +112,19 @@ def max_threads() -> int:
 
 
 @njit(cache=True)
-def _wrap_narrow(v, check, r_min, r_max):
-    """Two's-complement wrap of ``v`` into ``[r_min, r_max]``.
+def _narrow_r(v, err, check, r_min, r_max):
+    """``v`` for a store into the narrow ``r`` dtype ``[r_min, r_max]``.
 
-    Matches numpy's unsafe-cast store into the narrow ``r`` dtype (the
-    fused kernel's behavior for uncertified narrow batches).  Explicit
-    because a plain out-of-range store truncates under numba but raises
-    ``OverflowError`` in the pure-python fallback.
+    A value outside it sets ``err`` (slot 0 the flag, slot 1 the value),
+    and the level then raises :class:`~repro.errors.CapacityError`, as
+    the fused kernel does for a head or a kept op's ``r``.  The value is
+    still wrapped (two's complement), because a plain out-of-range
+    store truncates under numba but raises ``OverflowError`` in the
+    pure-python fallback.
     """
     if check and (v > r_max or v < r_min):
+        err[0] = 1
+        err[1] = v
         span = r_max - r_min + 1
         v = (v - r_min) % span + r_min
     return v
@@ -134,8 +139,9 @@ def partition_segments(kind, t, r, starts, mid, hi,
     Children land contiguously (left then right) in the scratch arrays
     at offset ``starts[s] + 2*s``; ``cnt_l``/``cnt_r`` receive the
     child op counts.  ``err`` is a 2-slot flag array: slot 0 set when a
-    head effect minus one falls outside ``[r_min, r_max]`` (only
-    checked when ``check_r``), slot 1 holds the offending value.
+    stored ``r`` (a head effect minus one, or a kept op's ``r`` with its
+    merged run) falls outside ``[r_min, r_max]`` (only checked when
+    ``check_r``), slot 1 holds the offending value.
     """
     n_segs = mid.shape[0]
     for s in prange(n_segs):
@@ -165,17 +171,14 @@ def partition_segments(kind, t, r, starts, mid, hi,
                 if seen:
                     sck[pos] = cur_k
                     sct[pos] = cur_t
-                    scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+                    scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
                     pos += 1
                 else:
                     if head != 0:
                         hv = head - 1
-                        if check_r and (hv > r_max or hv < r_min):
-                            err[0] = 1
-                            err[1] = hv
                         sck[pos] = PREFIX
                         sct[pos] = m_v
-                        scr[pos] = _wrap_narrow(hv, check_r, r_min, r_max)
+                        scr[pos] = _narrow_r(hv, err, check_r, r_min, r_max)
                         pos += 1
                     seen = True
                 cur_k = kind[i]
@@ -184,16 +187,13 @@ def partition_segments(kind, t, r, starts, mid, hi,
         if seen:
             sck[pos] = cur_k
             sct[pos] = cur_t
-            scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
             pos += 1
         elif head != 0:
             hv = head - 1
-            if check_r and (hv > r_max or hv < r_min):
-                err[0] = 1
-                err[1] = hv
             sck[pos] = PREFIX
             sct[pos] = m_v
-            scr[pos] = _wrap_narrow(hv, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(hv, err, check_r, r_min, r_max)
             pos += 1
         cnt_l[s] = pos - base
 
@@ -215,17 +215,14 @@ def partition_segments(kind, t, r, starts, mid, hi,
                 if seen:
                     sck[pos] = cur_k
                     sct[pos] = cur_t
-                    scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+                    scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
                     pos += 1
                 else:
                     if head != 0:
                         hv = head - 1
-                        if check_r and (hv > r_max or hv < r_min):
-                            err[0] = 1
-                            err[1] = hv
                         sck[pos] = PREFIX
                         sct[pos] = h_v
-                        scr[pos] = _wrap_narrow(hv, check_r, r_min, r_max)
+                        scr[pos] = _narrow_r(hv, err, check_r, r_min, r_max)
                         pos += 1
                     seen = True
                 cur_k = kind[i]
@@ -234,16 +231,13 @@ def partition_segments(kind, t, r, starts, mid, hi,
         if seen:
             sck[pos] = cur_k
             sct[pos] = cur_t
-            scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
             pos += 1
         elif head != 0:
             hv = head - 1
-            if check_r and (hv > r_max or hv < r_min):
-                err[0] = 1
-                err[1] = hv
             sck[pos] = PREFIX
             sct[pos] = h_v
-            scr[pos] = _wrap_narrow(hv, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(hv, err, check_r, r_min, r_max)
             pos += 1
         cnt_r[s] = pos - rbase
 
@@ -281,17 +275,14 @@ def partition_segments_w(kind, t, r, w, starts, mid, hi,
                 if seen:
                     sck[pos] = cur_k
                     sct[pos] = cur_t
-                    scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+                    scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
                     scw[pos] = cur_w
                     pos += 1
                 else:
                     if head != 0:
-                        if check_r and (head > r_max or head < r_min):
-                            err[0] = 1
-                            err[1] = head
                         sck[pos] = PREFIX
                         sct[pos] = m_v
-                        scr[pos] = _wrap_narrow(head, check_r, r_min, r_max)
+                        scr[pos] = _narrow_r(head, err, check_r, r_min, r_max)
                         scw[pos] = 0
                         pos += 1
                     seen = True
@@ -302,16 +293,13 @@ def partition_segments_w(kind, t, r, w, starts, mid, hi,
         if seen:
             sck[pos] = cur_k
             sct[pos] = cur_t
-            scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
             scw[pos] = cur_w
             pos += 1
         elif head != 0:
-            if check_r and (head > r_max or head < r_min):
-                err[0] = 1
-                err[1] = head
             sck[pos] = PREFIX
             sct[pos] = m_v
-            scr[pos] = _wrap_narrow(head, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(head, err, check_r, r_min, r_max)
             scw[pos] = 0
             pos += 1
         cnt_l[s] = pos - base
@@ -334,17 +322,14 @@ def partition_segments_w(kind, t, r, w, starts, mid, hi,
                 if seen:
                     sck[pos] = cur_k
                     sct[pos] = cur_t
-                    scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+                    scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
                     scw[pos] = cur_w
                     pos += 1
                 else:
                     if head != 0:
-                        if check_r and (head > r_max or head < r_min):
-                            err[0] = 1
-                            err[1] = head
                         sck[pos] = PREFIX
                         sct[pos] = h_v
-                        scr[pos] = _wrap_narrow(head, check_r, r_min, r_max)
+                        scr[pos] = _narrow_r(head, err, check_r, r_min, r_max)
                         scw[pos] = 0
                         pos += 1
                     seen = True
@@ -355,16 +340,13 @@ def partition_segments_w(kind, t, r, w, starts, mid, hi,
         if seen:
             sck[pos] = cur_k
             sct[pos] = cur_t
-            scr[pos] = _wrap_narrow(cur_r, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(cur_r, err, check_r, r_min, r_max)
             scw[pos] = cur_w
             pos += 1
         elif head != 0:
-            if check_r and (head > r_max or head < r_min):
-                err[0] = 1
-                err[1] = head
             sck[pos] = PREFIX
             sct[pos] = h_v
-            scr[pos] = _wrap_narrow(head, check_r, r_min, r_max)
+            scr[pos] = _narrow_r(head, err, check_r, r_min, r_max)
             scw[pos] = 0
             pos += 1
         cnt_r[s] = pos - rbase

@@ -635,13 +635,17 @@ def _gather_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return starts[seg_of] + (idx - out_starts[:-1][seg_of])
 
 
-def _check_head_overflow(encoded: np.ndarray, dtype: np.dtype) -> None:
-    """Refuse to write shrink-head effects a narrow ``r`` cannot hold.
+def _check_head_overflow(encoded: np.ndarray, dtype: np.dtype,
+                         what: str = "shrink head effect") -> None:
+    """Refuse to write shrink values a narrow ``r`` cannot hold.
 
-    With 32-bit counters (the Section 9.5 fast path) an adversarial
-    weighted input can accumulate a merged-run effect past the dtype's
-    range; the silent wrap would corrupt every distance downstream of the
-    head.  Raising keeps the failure at the first unrepresentable write.
+    With 32-bit counters (the Section 9.5 fast path) an op batch that
+    :func:`certify_int32` does not pass, under a pinned narrow dtype, can
+    accumulate a merged-run effect past the dtype's range, in a head or
+    in a kept op's ``r``; the silent wrap would corrupt every distance
+    downstream of it.  Raising keeps the failure at the first
+    unrepresentable write.  A certified solve accumulates in ``r``'s own
+    width, so this returns at once.
     """
     if (encoded.size == 0
             or encoded.dtype.itemsize <= np.dtype(dtype).itemsize):
@@ -652,7 +656,7 @@ def _check_head_overflow(encoded: np.ndarray, dtype: np.dtype) -> None:
     if mx > info.max or mn < info.min:
         bad = mx if mx > info.max else mn
         raise CapacityError(
-            f"shrink head effect {bad} does not fit in {np.dtype(dtype)}; "
+            f"{what} {bad} does not fit in {np.dtype(dtype)}; "
             f"rerun with dtype=int64 (Section 9.5)"
         )
 
@@ -756,6 +760,7 @@ def _shrink_child(
         pos = out_starts[:-1][seg_of_kept] + emit_head[seg_of_kept] + rank
         kind_out[pos] = kind_c[kept_idx]
         t_out[pos] = t_c[kept_idx]
+        _check_head_overflow(r_kept, r_c.dtype, "kept op r")
         r_out[pos] = r_kept.astype(r_c.dtype)
         if w_c is not None:
             w_out[pos] = w_c[kept_idx]
@@ -1005,6 +1010,7 @@ def _fused_write_child(
         sc_t = ws.array("sc_t", k, t.dtype, level)
         np.take(t, plan.kept_idx, out=sc_t, mode="wrap")
         t_out[pos] = sc_t
+        _check_head_overflow(plan.r_kept, r_out.dtype, "kept op r")
         r_out[pos] = plan.r_kept
         if w_out is not None:
             sc_w = ws.array("sc_w", k, w.dtype, level)
@@ -1307,7 +1313,7 @@ def _partition_level_compiled(
         )
     if err[0]:
         raise CapacityError(
-            f"shrink head effect {int(err[1])} does not fit in "
+            f"shrunk op r {int(err[1])} does not fit in "
             f"{r.dtype}; rerun with dtype=int64 (Section 9.5)"
         )
 

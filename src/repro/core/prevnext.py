@@ -115,7 +115,7 @@ def last_access_carryover(
 
     The chunk solve has already sorted what this needs: ``referenced``
     is the boolean mask of the entries whose address ``chunk`` touches,
-    and ``solved_next`` the ``next`` array of the trace it solved,
+    and ``solved_next`` the ``next`` array of the trace it sorted,
     ``addrs[referenced] · chunk`` (``r + n`` long).  The new map is the
     unreferenced entries in carry order followed by the chunk's last
     occurrences — positions ``>= r`` whose ``next`` is ``r + n`` — in

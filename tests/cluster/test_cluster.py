@@ -14,6 +14,7 @@ Two harnesses:
 import contextlib
 import gc
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from repro.client import CurveClient
 from repro.cluster import ClusterFrontend, fagin_curve, spawn_ring
 from repro.core.engine import iaf_hit_rate_curve
-from repro.errors import RemoteError
+from repro.errors import RemoteError, ReproError
 from repro.service import CurveService, serve_tcp
 from repro.service.server import CurveServer
 from repro.tenants import TenantService
@@ -250,3 +251,14 @@ class TestSpawnSmoke:
         leaks = [str(w.message) for w in caught
                  if issubclass(w.category, ResourceWarning)]
         assert not leaks
+
+    def test_a_shard_that_exits_at_start_fails_fast(self):
+        """An unknown flag makes the shard exit at once: the ring reports
+        it with the shard's own error, not after the 30 s ready wait."""
+        start = time.monotonic()
+        with pytest.raises(ReproError) as err:
+            spawn_ring(1, extra_args=("--no-such-flag",))
+        assert time.monotonic() - start < 5.0
+        message = str(err.value)
+        assert "shard0 exited with code 2" in message
+        assert "--no-such-flag" in message

@@ -12,9 +12,13 @@ Acceptance anchors:
   nothing;
 * carried state plateaus at O(u + chunk), and the bytes an engine holds
   stay flat however long it runs;
-* a chunk solves only the living entries it references: exact for wide
+* a chunk sorts only the living entries it references: exact for wide
   universes and every edge of the carry, and at most ``2 * chunk``
-  accesses per solve whatever the carry size;
+  accesses per sort whatever the carry size;
+* a chunk's level loop solves the chunk alone, ``n`` accesses with its
+  ``prev`` rebased into the chunk, and each carry hit's stack depth
+  comes from :func:`inversions_after`, checked against a brute-force
+  count;
 * ``push`` keeps no view of the caller's array: reusing one buffer for
   every push leaves every entry point's curve exact;
 * after every push and query the carry equals a dict replay of the
@@ -35,11 +39,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import SolveConfig, solve
+from repro.core import chunked as chunked_module
 from repro.core.bounded import bounded_iaf, parallel_bounded_iaf
 from repro.core.chunked import (
     ChunkedIAF,
     _restate_truncation,
     chunked_iaf,
+    inversions_after,
 )
 from repro.core.engine import EngineStats, iaf_hit_rate_curve
 from repro.core.streaming import OnlineCurveAnalyzer
@@ -406,7 +412,7 @@ class TestReferencedSolve:
         assert {s.attrs["referenced"] for s in spans} == {0, 1}
 
     def test_chunk_solve_is_bounded_by_twice_the_chunk(self):
-        """Every chunk solves at most ``2 * chunk`` accesses, however many
+        """Every chunk sorts at most ``2 * chunk`` accesses, however many
         living entries it is solved against."""
         chunk = 1024
         trace = zipfian_trace(60_000, 65_536, 0.8, seed=7)
@@ -435,6 +441,130 @@ class TestReferencedSolve:
             assert spans, name
             assert all(0 <= s.attrs["referenced"] <= min(16, s.attrs["n"])
                        for s in spans), name
+
+
+def brute_inversions_after(a) -> list:
+    return [sum(1 for later in a[q + 1:] if later < a[q])
+            for q in range(len(a))]
+
+
+@st.composite
+def distinct_positions(draw):
+    """Distinct first positions in a chunk of ``n``: none, one, every
+    position (``r = chunk``) or a sparse few of a long chunk."""
+    n = draw(st.integers(1, 5000))
+    shape = draw(st.sampled_from(["any", "empty", "one", "full", "sparse"]))
+    if shape == "empty":
+        return []
+    if shape == "one":
+        return [draw(st.integers(0, n - 1))]
+    if shape == "full":
+        return draw(st.permutations(range(min(n, 300))))
+    cap = 8 if shape == "sparse" else min(n, 300)
+    return draw(st.lists(st.integers(0, n - 1), unique=True, max_size=cap))
+
+
+class TestChunkOnlyLevelLoop:
+    """The level loop solves each chunk alone; the carry hits' depths
+    come from a rank count."""
+
+    @given(positions=distinct_positions())
+    def test_inversions_after_matches_brute_force(self, positions):
+        a = np.asarray(positions, dtype=np.int64)
+        got = inversions_after(a)
+        assert got.dtype == np.int64
+        assert got.tolist() == brute_inversions_after(positions)
+
+    def test_inversions_after_of_a_reversed_chunk(self):
+        a = np.arange(4096)[::-1].copy()
+        assert inversions_after(a).tolist() == list(range(4095, -1, -1))
+        assert inversions_after(a[::-1].copy()).tolist() == [0] * 4096
+
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        """Record the size and ``prev`` of every level-loop solve a chunk
+        solve makes."""
+        calls = []
+        real = chunked_module.iaf_distances
+
+        def spy(trace, **kwargs):
+            calls.append((int(np.size(trace)), kwargs["prev"].copy()))
+            return real(trace, **kwargs)
+
+        monkeypatch.setattr(chunked_module, "iaf_distances", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_each_loop_gets_exactly_the_chunk(self, loops, k):
+        """r = 0, r = m, a one-access chunk and a mixed one: every level
+        loop solves n accesses, never r + n, with prev inside the chunk."""
+        head = [5, 7, 9, 11]
+        engine = ChunkedIAF(64, max_cache_size=k)
+        engine.seed_carry(head, [2, 4, 6, 8], processed=10)
+        pushed = []
+        chunks = [
+            lambda: [20, 21, 22, 20],              # only new: r = 0
+            lambda: engine.living.tolist()[::-1],  # every entry: r = m
+            lambda: [9],                           # one access
+            lambda: [5, 20, 5, 30, 20, 11],        # mixed, repeats
+        ]
+        for make in chunks:
+            piece = make()
+            r = int(np.isin(engine.living, piece).sum())
+            del loops[:]
+            with tracing() as tracer:
+                engine.push(piece)
+                engine.curve()
+            (span,) = chunk_spans(tracer)
+            assert span.attrs["referenced"] == r
+            assert [size for size, _prev in loops] == [len(piece)]
+            (_size, prev), = loops
+            want = [-1] * len(piece)
+            last = {}
+            for i, addr in enumerate(piece):
+                want[i] = last.get(addr, -1)
+                last[addr] = i
+            assert prev.tolist() == want
+            pushed += piece
+        # The seeded carry is what `head` leaves behind; its four
+        # accesses are misses the engine's curve does not count.
+        got = engine.curve()
+        want = iaf_hit_rate_curve(np.asarray(head + pushed))
+        if k is not None:
+            want = _restate_truncation(want, k)
+        assert np.array_equal(got.hits_cumulative, want.hits_cumulative)
+        assert got.total_accesses == len(pushed)
+
+    @pytest.mark.parametrize("k", [None, 16])
+    def test_level_loops_sum_to_the_stream(self, loops, k):
+        """Over a wide stream, the level loops see every pushed access
+        exactly once, and the curve stays the batch engine's."""
+        trace = wide_trace(64, 3000, u=900)
+        engine = ChunkedIAF(128, max_cache_size=k)
+        for start in range(0, trace.size, 500):
+            engine.push(trace[start:start + 500])
+            engine.curve()
+        assert sum(size for size, _prev in loops) == trace.size
+        assert max(size for size, _prev in loops) <= 128
+        want = iaf_hit_rate_curve(trace)
+        if k is None:
+            assert_same_curve(engine.curve(), want)
+        else:
+            assert_same_curve(engine.curve(), _restate_truncation(want, k))
+
+    def test_one_access_chunks_in_both_modes(self, loops):
+        trace = wide_trace(65, 400, u=600)
+        for k in (None, 4):
+            del loops[:]
+            engine = ChunkedIAF(1, max_cache_size=k)
+            engine.push(trace)
+            assert [size for size, _prev in loops] == [1] * trace.size
+            assert all(prev.tolist() == [-1] for _size, prev in loops)
+            want = iaf_hit_rate_curve(trace)
+            got = engine.curve()
+            if k is not None:
+                want = _restate_truncation(want, k)
+            assert_same_curve(got, want)
 
 
 class TestCallerBuffers:

@@ -383,6 +383,32 @@ class TestHeadOverflowGuard:
         with pytest.raises(CapacityError, match="int64"):
             solve_prepost_arrays(seg, values, engine_backend=backend)
 
+    @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+    def test_end_to_end_int32_kept_r_raises(self, backend):
+        """A kept op's ``r`` past int32 raises instead of wrapping.
+
+        The four full-interval prefixes merge into the kept ``Prefix(0,
+        0)`` of the left child, whose ``r`` becomes 2**32; an int32 solve
+        used to store it as 0 and return cells ``[1, 0, 0, 0, 0, 1, 1, 1,
+        1]`` where int64 gives ``[2**32 + 1, 2**32, ...]``.
+        """
+        from repro.core.ops import POSTFIX, PREFIX
+
+        n = 8
+        kind = np.array([POSTFIX, PREFIX] + [PREFIX] * 4, dtype=np.uint8)
+        t = np.array([5, 0] + [n] * 4)
+        r = np.array([0, 0] + [2**30 - 1] * 4)
+        wide = np.zeros(n + 1, dtype=np.int64)
+        solve_prepost_arrays(
+            Segments.single(kind, t, r, 0, n), wide, engine_backend="naive"
+        )
+        assert wide[0] == 2**32 + 1
+        seg = Segments.single(kind, t.astype(np.int32), r.astype(np.int32),
+                              0, n)
+        values = np.zeros(n + 1, dtype=np.int64)
+        with pytest.raises(CapacityError, match="int64"):
+            solve_prepost_arrays(seg, values, engine_backend=backend)
+
 
 class TestBatchSolving:
     def _traces(self, sizes=(0, 1, 313, 4096, 77, 2500), universe=97):

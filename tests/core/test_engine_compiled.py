@@ -175,6 +175,20 @@ class TestBitIdentity:
         with pytest.raises(CapacityError, match="int64"):
             solve_prepost_arrays(seg, values, engine_backend="compiled")
 
+    def test_int32_kept_r_overflow_raises(self, compiled_on):
+        """The kernel flags a kept op's ``r`` past int32 through ``err``,
+        as it flags heads, instead of wrapping it."""
+        from repro.core.ops import POSTFIX, PREFIX
+
+        n = 8
+        kind = np.array([POSTFIX, PREFIX] + [PREFIX] * 4, dtype=np.uint8)
+        t = np.array([5, 0] + [n] * 4, dtype=np.int32)
+        r = np.array([0, 0] + [2**30 - 1] * 4, dtype=np.int32)
+        seg = Segments.single(kind, t, r, 0, n)
+        values = np.zeros(n + 1, dtype=np.int64)
+        with pytest.raises(CapacityError, match="4294967296"):
+            solve_prepost_arrays(seg, values, engine_backend="compiled")
+
     def test_workspace_goes_quiet_after_warmup(self, compiled_on):
         rng = np.random.default_rng(29)
         trace = (rng.zipf(1.2, size=8192) % 900).astype(np.int64)

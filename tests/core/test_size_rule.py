@@ -36,6 +36,16 @@ def rule(monkeypatch):
     return calls
 
 
+def test_the_rule_starts_at_four_default_chunks():
+    """The rule starts at four chunks: a chunk's level loop solves the
+    chunk alone, so from there the chunked path costs about as much CPU
+    as the one-shot loop, or less."""
+    assert api.CHUNKED_THRESHOLD == 4 * chunked.DEFAULT_CHUNK_SIZE
+    assert api.runs_chunked(SolveConfig(), 4 * chunked.DEFAULT_CHUNK_SIZE)
+    assert not api.runs_chunked(SolveConfig(),
+                                4 * chunked.DEFAULT_CHUNK_SIZE - 1)
+
+
 def _trace(n, seed=0, universe=700):
     return np.random.default_rng(seed).integers(0, universe, size=n)
 
